@@ -65,7 +65,7 @@ WORKLOADS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["resolved", "dict"], ids=["resolved", "dict"])
+@pytest.mark.parametrize("engine", ["compiled", "dict"])
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_baseline_timing(benchmark, name, engine):
     setup, expr, expected = WORKLOADS[name]
@@ -81,10 +81,10 @@ def test_baseline_timing(benchmark, name, engine):
 
 
 def test_steps_per_workload_report():
-    print("\nBaseline  machine steps per workload (resolved / dict)")
+    print("\nBaseline  machine steps per workload (compiled / dict)")
     for name, (setup, expr, _expected) in WORKLOADS.items():
         counts = []
-        for engine in ("resolved", "dict"):
+        for engine in ("compiled", "dict"):
             interp = Interpreter(engine=engine)
             if setup:
                 interp.run(setup)

@@ -1,10 +1,9 @@
-"""Supplementary — the quantum-batched register run loop (PR 3 A/B).
+"""Supplementary — the quantum-batched register run loop.
 
-Rows compare the batched drivers (:func:`repro.machine.step.run_quantum`
-/ ``run_quantum_compiled``), which hold the control registers in Python
-locals for a whole quantum, against the unbatched per-step ablation
-driver (``batched=False``, the PR-2 cost model) on three shapes chosen
-to stress different parts of the loop:
+Rows time the run loops (:func:`repro.machine.step.run_quantum` /
+``run_quantum_compiled``), which hold the control registers in Python
+locals for a whole quantum, on three shapes chosen to stress different
+parts of the loop:
 
 * ``arith-loop`` — a tight tail loop of trivial applications: the
   best case for register batching (almost every transition stays in
@@ -16,8 +15,7 @@ to stress different parts of the loop:
   protocol's overhead rather than its savings.
 
 The quantum sweep on ``arith-loop`` shows where the amortisation
-flattens out: quantum=1 pays a spill per step (the batched loop
-degenerates to the stepped one), and by a few hundred steps per
+flattens out: quantum=1 pays a spill per step, and by a few hundred steps per
 quantum the write-back cost has vanished into the noise.
 """
 
@@ -51,17 +49,14 @@ SHAPES = {
 }
 
 
-def fresh(*, batched: bool, engine: str = "compiled", quantum: int = 4096) -> Interpreter:
-    return Interpreter(
-        policy="round-robin", engine=engine, batched=batched, quantum=quantum
-    )
+def fresh(*, engine: str = "compiled", quantum: int = 4096, **kwargs) -> Interpreter:
+    return Interpreter(policy="round-robin", engine=engine, quantum=quantum, **kwargs)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "stepped"])
-def test_run_loop_timing(benchmark, shape, batched):
+def test_run_loop_timing(benchmark, shape):
     setup, expr = SHAPES[shape]
-    interp = fresh(batched=batched)
+    interp = fresh()
     interp.run(setup)
     benchmark(lambda: interp.eval(expr))
 
@@ -69,31 +64,21 @@ def test_run_loop_timing(benchmark, shape, batched):
 @pytest.mark.parametrize("quantum", [1, 16, 256, 4096])
 def test_quantum_sweep_timing(benchmark, quantum):
     setup, expr = ARITH_LOOP
-    interp = fresh(batched=True, quantum=quantum)
+    # analysis=False: the grant would enlarge the quantum of this
+    # single-task loop and flatten the sweep.
+    interp = fresh(quantum=quantum, analysis=False)
     interp.run(setup)
     benchmark(lambda: interp.eval(expr))
 
 
-@pytest.mark.parametrize("engine", ["dict", "resolved", "compiled"])
-def test_tree_engines_share_batched_loop(benchmark, engine):
-    # dict and resolved share run_quantum; compiled has its own loop.
+@pytest.mark.parametrize("engine", ["dict", "compiled", "codegen"])
+def test_engine_run_loops(benchmark, engine):
+    # dict runs run_quantum; compiled and codegen share
+    # run_quantum_compiled.
     setup, expr = ARITH_LOOP
-    interp = fresh(batched=True, engine=engine)
+    interp = fresh(engine=engine)
     interp.run(setup)
     benchmark(lambda: interp.eval(expr))
-
-
-def test_batched_equals_stepped_on_every_shape():
-    print("\nRun loop  batched vs stepped (values and step counts)")
-    for shape, (setup, expr) in sorted(SHAPES.items()):
-        results = {}
-        for batched in (True, False):
-            interp = fresh(batched=batched)
-            interp.run(setup)
-            value = interp.eval_to_string(expr)
-            results[batched] = (value, interp.machine.steps_total)
-        print(f"  {shape:14s}: value={results[True][0]!r:8s} steps={results[True][1]}")
-        assert results[True] == results[False]
 
 
 def test_write_backs_avoided_scale_with_quantum():
@@ -101,9 +86,7 @@ def test_write_backs_avoided_scale_with_quantum():
     setup, expr = ARITH_LOOP
     rows = []
     for quantum in (1, 16, 256, 4096):
-        interp = Interpreter(
-            policy="round-robin", engine="compiled", quantum=quantum, profile=True
-        )
+        interp = fresh(quantum=quantum, profile=True, analysis=False)
         interp.run(setup)
         interp.eval(expr)
         stats = interp.stats

@@ -72,23 +72,18 @@ class Interpreter:
         Also print ``display`` output to real stdout.
     engine:
         Execution engine: :class:`~repro.machine.scheduler.Engine` or
-        its string value — ``"dict"``, ``"resolved"``, ``"compiled"``,
-        ``"codegen"`` (see :data:`repro.machine.scheduler.ENGINES`).
-        Defaults to ``"compiled"``: the pipeline reader → expand →
-        resolve → compile → machine.  ``"codegen"`` goes one stage
-        further — resolved IR is emitted as straight-line Python
-        source, ``compile()``d once and cached by ``ir-hash-v1``
-        digest (:mod:`repro.ir.codegen`, DESIGN.md S26).
-        ``"resolved"`` stops after the resolver and tree-walks the
-        resolved IR; ``"dict"`` is the original dict-chain interpreter
-        (the seed baseline).  All four agree on every program —
-        ``benchmarks/run_all.py`` runs the engine A/B.
-    batched:
-        Run tasks in quantum batches with the control registers held in
-        Python locals (the default).  ``batched=False`` selects the
-        unbatched ablation driver — one reference-stepper call per
-        transition with the PR-2 apply path — used by the benchmark A/B
-        column (see DESIGN.md S21).
+        its string value — ``"dict"``, ``"compiled"`` or ``"codegen"``
+        (see :data:`repro.machine.scheduler.ENGINES`).  Defaults to
+        ``"compiled"``: the pipeline reader → expand → resolve →
+        compile → machine.  ``"codegen"`` goes one stage further —
+        resolved IR is emitted as straight-line Python source,
+        ``compile()``d once and cached by ``ir-hash-v1`` digest
+        (:mod:`repro.ir.codegen`, DESIGN.md S26).  ``"dict"`` is the
+        original dict-chain interpreter (the reference engine).  All
+        three agree on every program — ``benchmarks/run_all.py`` runs
+        the engine A/B.  Every engine runs each scheduler quantum in
+        one Python frame with the control registers held in locals
+        (DESIGN.md S21).
     profile:
         Keep VM run-loop counters (quanta, spill causes, write-backs
         avoided) in ``machine.vm_stats``; surfaced through
@@ -128,7 +123,6 @@ class Interpreter:
         prelude: bool = True,
         echo_output: bool = False,
         engine: str | Engine | None = None,
-        batched: bool = True,
         profile: bool = False,
         record: "Recorder | bool | None" = None,
         analysis: bool = True,
@@ -149,7 +143,6 @@ class Interpreter:
             prelude=prelude,
             echo_output=echo_output,
             engine=engine,
-            batched=batched,
             profile=profile,
             record=record,
             analysis=analysis,

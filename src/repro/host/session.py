@@ -122,7 +122,6 @@ class Session:
         prelude: bool = True,
         echo_output: bool = False,
         engine: str | Engine | None = None,
-        batched: bool = True,
         profile: bool = False,
         max_pending: int = 64,
         name: str | None = None,
@@ -147,7 +146,6 @@ class Session:
             quantum=quantum,
             max_steps=None,  # budgets apply to user code only
             engine=engine,
-            batched=batched,
             profile=profile,
             record=record,
         )
@@ -648,8 +646,9 @@ class Session:
         any other process.  ``record`` attaches a fresh observability
         recorder (recorders are never serialized); ``name`` overrides
         the stored session name; ``engine`` restores under a different
-        engine (code is recorded as resolved IR + digest, so each
-        engine rebuilds its own executable form on restore)."""
+        engine than the blob header names (code is recorded as resolved
+        IR + digest, so each engine rebuilds its own executable form on
+        restore, and the restored machine runs that engine's loop)."""
         from repro.snapshot import restore_session
 
         if engine is not None:

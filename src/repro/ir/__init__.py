@@ -34,8 +34,10 @@ from repro.ir.resolve import ResolverStats, resolve_node, resolve_program
 
 # Imported last: repro.ir.compile and repro.ir.codegen depend on
 # repro.machine, which in turn imports repro.ir — by this point every
-# name above is bound, so the cycle resolves cleanly from either entry
-# direction.
+# name above is bound, so repro.machine (step included) loads in full
+# before the compilers bind ``apply_deliver`` from it.  The package
+# enters here first: repro.analysis imports repro.ir before anything
+# imports repro.machine.
 from repro.ir.compile import CompileStats, compile_node, compile_program
 from repro.ir.codegen import CodegenStats, codegen_node, codegen_program
 

@@ -27,15 +27,7 @@ from repro.errors import DeadlineExceeded, MachineError, StepBudgetExceeded
 from repro.ir import Node
 from repro.machine.environment import Environment, GlobalEnv
 from repro.machine.links import HaltLink, Join, Label, LabelLink
-from repro.machine.step import (
-    apply_deliver,
-    apply_procedure,
-    run_quantum,
-    run_quantum_compiled,
-    run_quantum_stepped,
-    step,
-    step_compiled,
-)
+from repro.machine.step import run_quantum, run_quantum_compiled
 from repro.machine.task import EVAL, Task, TaskState
 from repro.obs.recorder import Recorder
 
@@ -44,22 +36,20 @@ __all__ = ["ENGINES", "Engine", "Machine", "SchedulerPolicy", "normalize_engine"
 #: The execution engines a Machine can run (see repro.machine.step and
 #: repro.ir.compile):
 #:
-#: * ``"dict"`` — the expander dialect over dict-chain environments
-#:   (the seed baseline; no folding).
-#: * ``"resolved"`` — the resolver dialect (slot ribs, interned cells)
-#:   with trivial-operand folding in the tree-walking stepper.
+#: * ``"dict"`` — the expander dialect over dict-chain environments,
+#:   walked node by node (the reference engine; no folding).
 #: * ``"compiled"`` — resolved IR pre-translated to code thunks by
-#:   :mod:`repro.ir.compile`; the stepper dispatches by calling.
+#:   :mod:`repro.ir.compile`; the run loop dispatches by calling.
 #: * ``"codegen"`` — resolved IR emitted as straight-line Python source
 #:   and ``compile()``d once per form by :mod:`repro.ir.codegen`, with
 #:   code objects cached by ``ir-hash-v1`` digest.  The emitted
 #:   functions obey the same code-thunk contract as ``"compiled"``, so
 #:   both engines share one run loop.
 #:
-#: All four push identical frame chains and control points, so the
+#: All three push identical frame chains and control points, so the
 #: capture/reinstate algebra — and every Section 7 claim — is engine-
 #: independent.
-ENGINES = ("dict", "resolved", "compiled", "codegen")
+ENGINES = ("dict", "compiled", "codegen")
 
 
 class Engine(enum.Enum):
@@ -67,7 +57,6 @@ class Engine(enum.Enum):
     ``engine`` accepts either this enum or its string value."""
 
     DICT = "dict"
-    RESOLVED = "resolved"
     COMPILED = "compiled"
     CODEGEN = "codegen"
 
@@ -80,6 +69,11 @@ def normalize_engine(engine: "Engine | str") -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     return engine
+
+
+# perfbench/spans.py counts quanta by wrapping this name (getattr, no
+# default); keep it bound until that hook list changes.
+run_quantum_stepped = run_quantum
 
 
 class SchedulerPolicy(enum.Enum):
@@ -112,8 +106,7 @@ class Machine:
         seed: int | None = None,
         quantum: int = 16,
         max_steps: int | None = None,
-        engine: str | Engine = "resolved",
-        batched: bool = True,
+        engine: str | Engine = "compiled",
         profile: bool = False,
         record: "Recorder | bool | None" = None,
     ):
@@ -135,46 +128,14 @@ class Machine:
         self.deadline: float | None = None
         engine = normalize_engine(engine)
         self.engine = engine
-        # Trivial-operand folding in the tree-walking stepper (see
-        # repro.machine.step).  Only the resolved engine folds: the dict
-        # baseline keeps the seed's step-for-step behaviour, and on a
-        # compiled machine folding is the compiler's job, so any IR
-        # nodes that reach the stepper (begin_eval fallback) take the
-        # plain path.
-        self.fold = engine == "resolved"
-        self._step_fn = (
-            step_compiled if engine in ("compiled", "codegen") else step
-        )
-        # The quantum driver (see repro.machine.step).  ``batched=True``
-        # (default) runs each quantum in one Python frame with the
-        # control registers held in locals; ``batched=False`` is the
-        # per-step ablation driver, re-entering the reference stepper
-        # once per transition — same transition relation, used as the
-        # A/B baseline in benchmarks/run_all.py.
-        self.batched = batched
-        if not batched:
-            self._run_quantum = run_quantum_stepped
-        elif engine in ("compiled", "codegen"):
-            self._run_quantum = run_quantum_compiled
-        else:
+        # The quantum driver (see repro.machine.step): each quantum runs
+        # in one Python frame with the control registers held in
+        # locals.  Looked up in this module's globals at construction,
+        # so a wrapper installed on the module name sees every quantum.
+        if engine == "dict":
             self._run_quantum = run_quantum
-        # The apply seam: code thunks and the reference steppers apply
-        # through these machine attributes, so the unbatched ablation
-        # runs the PR-2 apply path (repro.machine.ablation) while the
-        # batched engines get the fast path (precomputed arity windows,
-        # direct Primitive/Closure dispatch) — the A/B columns in
-        # benchmarks/run_all.py measure exactly this seam.
-        if batched:
-            self._apply_procedure = apply_procedure
-            self._apply_deliver = apply_deliver
         else:
-            from repro.machine.ablation import (
-                apply_deliver_unbatched,
-                apply_procedure_unbatched,
-            )
-
-            self._apply_procedure = apply_procedure_unbatched
-            self._apply_deliver = apply_deliver_unbatched
+            self._run_quantum = run_quantum_compiled
         # VM counters (satellite observability).  Always allocated so
         # the run loops can reference it; only *updated* when
         # ``profile=True`` (the loops skip the bookkeeping otherwise).
@@ -252,7 +213,7 @@ class Machine:
     # -- control-event notify points ----------------------------------------
     #
     # Every control operation lands on exactly one of these, from all
-    # three engines (the sites live in shared code: the steppers'
+    # three engines (the sites live in shared code: the run loops'
     # _deliver_through_link/_eval_pcall and the control primitives'
     # machine_apply).  They are the single source of truth for both the
     # stats counters and the observability stream: counted == emitted

@@ -62,9 +62,9 @@ class Closure:
     """A user procedure: formals + body + captured environment.
 
     ``body`` is whatever the machine's engine evaluates: an IR node
-    (dict and resolved engines) or a compiled code thunk produced by
-    :mod:`repro.ir.compile` (compiled engine — the body is compiled
-    once per ``lambda`` node and shared by every closure made from it).
+    (dict engine) or a code thunk produced by :mod:`repro.ir.compile`
+    or :mod:`repro.ir.codegen` (the body is compiled once per
+    ``lambda`` node and shared by every closure made from it).
     Application just schedules ``(EVAL, body)`` either way, so closures
     cross freely between machines of different engines.
 

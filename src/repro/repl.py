@@ -283,12 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["dict", "resolved", "compiled", "codegen"],
+        choices=["dict", "compiled", "codegen"],
         help="execution engine: 'compiled' (default; resolved IR "
         "closure-compiled to code thunks), 'codegen' (resolved IR "
         "emitted as Python source, compile()d once and cached by "
-        "ir-hash), 'resolved' (tree-walk the resolved IR), or 'dict' "
-        "(the original dict-chain interpreter)",
+        "ir-hash), or 'dict' (the original dict-chain interpreter)",
     )
     parser.add_argument(
         "--no-resolve",

@@ -101,7 +101,7 @@ from repro.machine.links import (
     LabelLink,
     PromptLabel,
 )
-from repro.machine.scheduler import Machine, SchedulerPolicy
+from repro.machine.scheduler import ENGINES, Machine, SchedulerPolicy
 from repro.machine.scheduler import _NO_HALT  # the halt-register sentinel
 from repro.machine.task import APPLY, EVAL, HOLE, VALUE, Task, TaskState
 from repro.machine.tree import Capture
@@ -118,7 +118,10 @@ MAGIC = b"RSNP"
 #: and the three submits_* session counters.
 #: v3: codegen engine — the CodegenStats root tuple (written for every
 #: engine, zeros when codegen never ran).
-FORMAT_VERSION = 3
+#: v4: the header flags lose ``batched`` and the machine record loses
+#: ``engine``, ``batched`` and ``fold``; the restored machine runs the
+#: header's engine (or the ``restore(engine=)`` override).
+FORMAT_VERSION = 4
 
 # -- value tags (the self-describing scalar/reference layer) -------------
 
@@ -479,10 +482,9 @@ class _Encoder:
         w.str_(machine.policy.value)
         w.varint(machine.quantum)
         w.u8(
-            (1 if machine.batched else 0)
-            | (2 if machine.profile else 0)
-            | (4 if session.output.echo else 0)
-            | (8 if session.analysis else 0)
+            (1 if machine.profile else 0)
+            | (2 if session.output.echo else 0)
+            | (4 if session.analysis else 0)
         )
         w.varint(session.max_pending)
         for watermark in _counter_watermarks():
@@ -690,10 +692,7 @@ def _machine_rest(enc: _Encoder, obj: Machine) -> list:
         obj.policy.value,
         obj.quantum,
         obj.max_steps,
-        obj.engine,
-        obj.batched,
         obj.profile,
-        obj.fold,
         obj.recorder is not None,
         deadline,
         obj.toplevel_env,
@@ -974,10 +973,9 @@ class _Decoder:
                 )
             # The restoring engine decides the executable form: codegen
             # routes through its digest-keyed code cache, compiled
-            # rebuilds closure thunks, and the tree-walking engines
-            # keep the raw resolved IR (their steppers evaluate nodes
-            # directly — a restored closure's resolved body runs fine
-            # under either walker).
+            # rebuilds closure thunks, and the dict engine keeps the raw
+            # resolved IR (its loop walks LocalRef/GlobalRef nodes, so
+            # a restored closure's resolved body runs there too).
             if self.engine == "codegen":
                 thunk = codegen_node(node, self.scratch_codegen_stats)
             elif self.engine == "compiled":
@@ -1004,24 +1002,24 @@ class _Decoder:
         engine = r.str_()
         if self.engine_override is not None:
             engine = self.engine_override
+        elif engine not in ENGINES:
+            raise SnapshotFormatError(f"unknown engine {engine!r} in snapshot header")
         self.engine = engine
-        policy = r.str_()
+        policy = _policy(r.str_())
         quantum = r.varint()
         flags = r.u8()
-        batched = bool(flags & 1)
-        profile = bool(flags & 2)
-        echo = bool(flags & 4)
-        analysis = bool(flags & 8)
+        profile = bool(flags & 1)
+        echo = bool(flags & 2)
+        analysis = bool(flags & 4)
         max_pending = r.varint()
         watermarks = tuple(r.varint() for _ in range(6))
 
         session = Session(
-            policy=SchedulerPolicy(policy),
+            policy=policy,
             quantum=quantum,
             prelude=False,
             echo_output=echo,
             engine=engine,
-            batched=batched,
             profile=profile,
             max_pending=max_pending,
             name=self.name_override if self.name_override is not None else name,
@@ -1246,29 +1244,31 @@ def _fill_environment(dec: _Decoder, r: Reader, env: Environment) -> None:
     env.globals = dec.globals
 
 
+def _policy(value: Any) -> SchedulerPolicy:
+    try:
+        return SchedulerPolicy(value)
+    except ValueError:
+        raise SnapshotFormatError(f"unknown scheduler policy {value!r} in snapshot") from None
+
+
 def _fill_machine(dec: _Decoder, r: Reader, machine: Machine) -> None:
     rv = dec._read_value
     policy = rv(r)
     quantum = rv(r)
     max_steps = rv(r)
-    engine = rv(r)
-    batched = rv(r)
     profile = rv(r)
-    fold = rv(r)
     has_recorder = rv(r)
     deadline = rv(r)
     machine.__init__(
         dec.globals,
-        policy=SchedulerPolicy(policy),
+        policy=_policy(policy),
         seed=0,
         quantum=quantum,
         max_steps=max_steps,
-        engine=engine,
-        batched=batched,
+        engine=dec.engine,
         profile=profile,
         record=dec.record if has_recorder else None,
     )
-    machine.fold = fold
     machine.deadline = None if deadline is None else dec.now + deadline
     machine.toplevel_env = rv(r)
     machine.root_entity = rv(r)

@@ -21,6 +21,7 @@ from repro.analysis.effects import GRANT_QUANTUM
 from repro.host.host import Host
 from repro.host.session import Session
 from repro.lib import paper_examples
+from repro.machine.scheduler import ENGINES
 from repro.snapshot import restore_session, snapshot_session
 
 FIB = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 10)"
@@ -90,8 +91,8 @@ def test_fib_is_capture_free_but_not_total():
 def test_self_loop_never_proves_total():
     # The form facts describe evaluating the define (closure creation —
     # total); the *lambda's* stamped facts must not claim termination.
-    sess = Session(engine="resolved")
-    nodes, _ = sess._frontend("(define (l) (l))")
+    sess = Session()
+    nodes = _resolved_forms(sess, "(define (l) (l))")
     annotate_program(nodes, sess.globals)
     lam = nodes[0].expr
     assert lam.effects.capture_free and lam.effects.spawn_free
@@ -157,6 +158,17 @@ def test_set_bang_poisons_applies_through_the_cell():
     assert not form_effects(report, 3).capture_free
 
 
+def _resolved_forms(sess, source):
+    """Expand and resolve ``source`` against ``sess`` — the IR the
+    analysis phase sees, before any compile stage."""
+    from repro.expander import expand_program
+    from repro.ir.resolve import resolve_program
+    from repro.reader import read_all
+
+    nodes = expand_program(read_all(source), sess.expand_env)
+    return resolve_program(nodes, sess.globals)
+
+
 def test_program_classification_is_worst_form():
     report = analyze("(+ 1 2) (call/cc (lambda (k) (k 1))) (spawn (lambda (c) 1))")
     assert report.classification == "spawning"
@@ -165,8 +177,8 @@ def test_program_classification_is_worst_form():
 
 
 def test_annotate_stamps_lambdas_and_counts():
-    sess = Session(engine="resolved")
-    nodes, _ = sess._frontend("(define (sq x) (* x x)) (sq 3)")
+    sess = Session()
+    nodes = _resolved_forms(sess, "(define (sq x) (* x x)) (sq 3)")
     stats = AnalysisStats()
     report = annotate_program(nodes, sess.globals, stats)
     assert stats.forms == 2
@@ -195,35 +207,35 @@ def _forms(sess, source):
 
 
 @pytest.fixture(scope="module")
-def resolved_session():
-    return Session(engine="resolved")
+def analysis_session():
+    return Session()
 
 
-def test_validator_accepts_pure_recursion(resolved_session):
-    nodes = _forms(resolved_session, FIB)
-    assert single_task_form(nodes[-1], resolved_session.globals)
+def test_validator_accepts_pure_recursion(analysis_session):
+    nodes = _forms(analysis_session, FIB)
+    assert single_task_form(nodes[-1], analysis_session.globals)
 
 
-def test_validator_rejects_spawn_pcall_callcc(resolved_session):
+def test_validator_rejects_spawn_pcall_callcc(analysis_session):
     for src in (
         "(spawn (lambda (c) 1))",
         "(pcall + 1 2)",
         "(call/cc (lambda (k) (k 1)))",
     ):
-        (node,) = _forms(resolved_session, src)
-        assert not single_task_form(node, resolved_session.globals)
+        (node,) = _forms(analysis_session, src)
+        assert not single_task_form(node, analysis_session.globals)
 
 
-def test_validator_rejects_computed_operator(resolved_session):
-    (node,) = _forms(resolved_session, "((car (list car)) '(1))")
-    assert not single_task_form(node, resolved_session.globals)
+def test_validator_rejects_computed_operator(analysis_session):
+    (node,) = _forms(analysis_session, "((car (list car)) '(1))")
+    assert not single_task_form(node, analysis_session.globals)
 
 
-def test_validator_rejects_self_mutating_form(resolved_session):
+def test_validator_rejects_self_mutating_form(analysis_session):
     # One form that assigns a cell it also applies through (top-level
     # begin splices, so hide the sequence inside a thunk): the walk's
     # facts would be stale by the time the redefined procedure runs.
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (f x) x)")
     handle = sess.submit("((lambda () (set! f (lambda (x) (call/cc x))) (f 1)))")
     node = handle.nodes[0]
@@ -231,13 +243,13 @@ def test_validator_rejects_self_mutating_form(resolved_session):
     sess.cancel(handle)
 
 
-def test_validator_rejects_define_then_call_in_one_form(resolved_session):
+def test_validator_rejects_define_then_call_in_one_form(analysis_session):
     # DefineTop inside a granted form must count as mutation of the
     # defined cell (defense-in-depth; the expander normally splices
     # top-level defines into their own forms).
     from repro.ir.nodes import App, Const, DefineTop, GlobalRef, Lambda, Seq
 
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (g) 1)")
     from repro.datum import intern
 
@@ -253,7 +265,7 @@ def test_validator_rejects_define_then_call_in_one_form(resolved_session):
 
 def test_validator_follows_current_cell_values():
     # Facts must come from the *live* closure, not the submit-time one.
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (f x) (+ x 1))")
     handle = sess.submit("(f 1)")
     node = handle.nodes[0]
@@ -309,7 +321,7 @@ def test_codegen_engine_gets_grants():
     assert codegen.machine.quantum_grant is None  # cleared at form end
 
 
-@pytest.mark.parametrize("engine", ["dict", "resolved", "compiled", "codegen"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_no_grants_under_random_policy_any_engine(engine):
     # Regression for the grant policy gate: the random policy draws
     # from its RNG once per pick, so an enlarged quantum would perturb
@@ -434,7 +446,7 @@ def _both_dialect_classifications(source):
     from repro.reader import read_all
 
     unresolved = [s.classification for s in analyze_source(source)]
-    sess = Session(engine="resolved", prelude=False)
+    sess = Session(prelude=False)
     env = ExpandEnv()
     env.macros.update(sess.expand_env.macros)
     nodes = expand_program(read_all(source), env)
@@ -471,7 +483,7 @@ from tests.snapshot.test_randomized import gen_program
 SWEEP_QUANTA = (1, 16, 4096)
 
 
-@pytest.mark.parametrize("engine", ("resolved", "compiled"))
+@pytest.mark.parametrize("engine", ("compiled", "codegen"))
 @pytest.mark.parametrize("quantum", SWEEP_QUANTA)
 def test_random_programs_zero_divergence(engine, quantum):
     for seed in (3, 17, 29):

@@ -99,11 +99,12 @@ def test_error_message_names_the_controller(interp):
 # -- both environment representations ------------------------------------
 #
 # The validity rules are a property of the process tree, not of how
-# variables are looked up; they must hold identically on the resolved
-# machine (slot ribs, default) and the dict-chain ablation.
+# variables are looked up; they must hold identically on resolved IR
+# (slot ribs, run by the default compiled engine) and on the dict-chain
+# engine.  The ids name the environment representation.
 
 
-@pytest.fixture(params=["resolved", "dict"], ids=["resolved", "dict"])
+@pytest.fixture(params=["compiled", "dict"], ids=["resolved", "dict"])
 def either_interp(request):
     from repro import Interpreter
 

@@ -10,7 +10,7 @@ from repro import Host, Session
 from repro.errors import DeadlineExceeded, HostSaturated, StepBudgetExceeded
 from repro.host import HandleState, HostPolicy
 
-ENGINES = ["dict", "resolved", "compiled"]
+ENGINES = ["dict", "compiled"]
 HOST_POLICIES = ["round-robin", "deficit"]
 
 LOOP = "(define (loop n) (loop (+ n 1)))"

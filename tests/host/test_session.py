@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.host import HandleState
 
-ENGINES = ["dict", "resolved", "compiled"]
+ENGINES = ["dict", "compiled"]
 
 LOOP = "(define (loop n) (loop (+ n 1)))"
 SUM_100 = "(let loop ([n 0] [acc 0]) (if (= n 100) acc (loop (+ n 1) (+ acc n))))"
@@ -33,7 +33,7 @@ def test_eval_roundtrip(engine):
 
 def test_engine_enum_accepted():
     assert Session(engine=Engine.DICT, prelude=False).engine == "dict"
-    assert Session(engine="resolved", prelude=False).engine == "resolved"
+    assert Session(engine="codegen", prelude=False).engine == "codegen"
 
 
 def test_unknown_engine_rejected():

@@ -127,6 +127,7 @@ CASES = [
 # too (values only — they are deterministic but cheap enough that the
 # per-case stats design above already covers the interesting ones).
 from tests.machine.test_resolver import EQUIV_PROGRAMS
+from tests.machine.test_run_loop import drive_stepwise
 
 
 def _run_case(engine, policy, case):
@@ -174,11 +175,12 @@ def test_equivalence_programs_across_engines(source, policy):
 
 
 # ---------------------------------------------------------------------------
-# Batching equivalence: the quantum-batched run loops vs the unbatched
-# per-step ablation driver.  Batching is an implementation detail of
-# the run loop — for any quantum, a batched machine must produce the
-# same value, the same total step count and the same capture stats as
-# an unbatched one, because the scheduler rotates tasks at the same
+# Batching equivalence: each engine's run loop at quantum q vs the same
+# loop driven one transition per call (budget 1, up to q times — see
+# tests/machine/test_run_loop.py::drive_stepwise).  Batching is an
+# implementation detail of the run loop — for any quantum it must
+# produce the same value, the same total step count and the same
+# capture stats, because the scheduler rotates tasks at the same
 # transition boundaries either way.
 # ---------------------------------------------------------------------------
 
@@ -186,9 +188,9 @@ BATCH_QUANTA = (1, 2, 16, 4096)
 
 
 def _run_case_counted(engine, policy, quantum, batched, case):
-    interp = Interpreter(
-        engine=engine, policy=policy, seed=7, quantum=quantum, batched=batched
-    )
+    interp = Interpreter(engine=engine, policy=policy, seed=7, quantum=quantum)
+    if not batched:
+        drive_stepwise(interp.machine)
     for example in case.examples:
         interp.load_paper_example(example)
     if case.setup:
@@ -223,7 +225,7 @@ def test_batched_matches_stepped(engine, quantum):
 # flag (no resolved IR to analyze), so the axis covers the other two.
 # ---------------------------------------------------------------------------
 
-ANALYSIS_ENGINES = ("resolved", "compiled", "codegen")
+ANALYSIS_ENGINES = ("compiled", "codegen")
 ANALYSIS_QUANTA = (1, 16, 4096)
 
 

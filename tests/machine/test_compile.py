@@ -2,28 +2,30 @@
 
 Per-node-kind behavior, dialect rejection, compile-stage statistics,
 and the machine-level seams: the ``engine`` knob, the raw-IR fallback
-in ``step_compiled``, and closures carrying compiled body code.
+in ``run_quantum_compiled``, and closures carrying compiled body code.
 """
 
 from types import FunctionType
 
 import pytest
 
-from repro import Interpreter
-from repro.datum import intern
+from repro import Interpreter, Session
+from repro.datum import intern, scheme_repr
 from repro.errors import CompileError, UnboundVariableError
 from repro.expander import ExpandEnv, expand_program
 from repro.ir import CompileStats, Const, Lambda, compile_node, compile_program
 from repro.ir import resolve_program
 from repro.machine.scheduler import ENGINES, Machine
 from repro.reader import read_all
+from tests.machine.test_resolver import eval_resolved_on_dict
 
 
 def _compiled_interp(**kwargs):
     return Interpreter(engine="compiled", **kwargs)
 
 
-# -- per-node-kind behavior (differential against the resolved engine) --
+# -- per-node-kind behavior (differential against resolved IR walked by
+# the dict engine's loop) --
 
 NODE_KIND_PROGRAMS = [
     "42",  # Const
@@ -52,7 +54,7 @@ NODE_KIND_PROGRAMS = [
 @pytest.mark.parametrize("source", NODE_KIND_PROGRAMS)
 def test_compiled_matches_resolved(source):
     compiled = Interpreter(engine="compiled", policy="serial").eval_to_string(source)
-    resolved = Interpreter(engine="resolved", policy="serial").eval_to_string(source)
+    resolved = scheme_repr(eval_resolved_on_dict(source))
     assert compiled == resolved
 
 
@@ -101,8 +103,8 @@ def test_interpreter_stats_include_compile_counters():
     assert "compile.apps_inlined" in stats
 
 
-def test_resolved_engine_stats_omit_compile_counters():
-    interp = Interpreter(engine="resolved")
+def test_codegen_engine_stats_omit_compile_counters():
+    interp = Interpreter(engine="codegen")
     interp.eval("(+ 1 2)")
     assert "compile.nodes" not in interp.stats
 
@@ -110,28 +112,38 @@ def test_resolved_engine_stats_omit_compile_counters():
 # -- the engine seam ---------------------------------------------------
 
 
-def test_engines_tuple_names_all_four():
-    assert ENGINES == ("dict", "resolved", "compiled", "codegen")
+def test_engines_tuple_names_all_three():
+    assert ENGINES == ("dict", "compiled", "codegen")
 
 
 def test_machine_rejects_unknown_engine():
     with pytest.raises(ValueError) as exc:
         Machine(engine="bogus")
     # The error names every engine, so a typo'd selector is self-serving.
-    for name in ("dict", "resolved", "compiled", "codegen"):
+    for name in ENGINES:
         assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("make", [Machine, Session, Interpreter])
+def test_resolved_engine_is_gone(make):
+    with pytest.raises(ValueError) as exc:
+        make(engine="resolved")
+    for name in ENGINES:
+        assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("make", [Machine, Session, Interpreter])
+def test_batched_keyword_is_gone(make):
+    with pytest.raises(TypeError):
+        make(batched=False)
 
 
 def test_interpreter_engine_defaults():
     assert Interpreter().engine == "compiled"
+    assert Session(prelude=False).engine == "compiled"
+    assert Machine().engine == "compiled"
     assert Interpreter(engine="dict").engine == "dict"
-    assert Interpreter(engine="resolved").engine == "resolved"
-
-
-def test_fold_flag_tracks_engine():
-    assert Machine(engine="resolved").fold is True
-    assert Machine(engine="compiled").fold is False
-    assert Machine(engine="dict").fold is False
+    assert Interpreter(engine="codegen").engine == "codegen"
 
 
 def test_closure_body_is_compiled_code():
@@ -156,7 +168,7 @@ def test_compiled_code_carries_source_node():
 
 
 def test_compiled_machine_evaluates_raw_nodes():
-    # step_compiled falls back to the node dispatch table when handed
+    # run_quantum_compiled falls back to the node dispatch table when handed
     # an uncompiled IR node (incremental embedding API).
     interp = _compiled_interp()
     nodes = expand_program(read_all("(+ 20 22)"), ExpandEnv())
@@ -193,9 +205,13 @@ def test_step_budget_still_counts_loop_iterations():
 def test_closures_cross_engines():
     # A closure whose body is a resolved IR tree still applies on a
     # compiled machine: application schedules (EVAL, body) and
-    # step_compiled falls back to the node dispatch table.
-    producer = Interpreter(engine="resolved")
-    closure = producer.eval("(lambda (x) (* x x))")
+    # run_quantum_compiled falls back to the node dispatch table.
+    producer = Interpreter(engine="dict")
+    (node,) = resolve_program(
+        expand_program(read_all("(lambda (x) (* x x))"), ExpandEnv()),
+        producer.globals,
+    )
+    closure = producer.machine.eval_node(node)
     assert not isinstance(closure.body, FunctionType)
     consumer = _compiled_interp()
     consumer.machine.globals.define(intern("sq"), closure)

@@ -1,5 +1,5 @@
-"""The resolver pass: lexical addresses, global cells, and the
-resolved machine's behaviour against the dict-chain baseline."""
+"""The resolver pass: lexical addresses, global cells, and resolved IR
+walked by the dict engine's loop against the dict-chain baseline."""
 
 import pytest
 
@@ -19,6 +19,19 @@ from repro.ir import (
 )
 from repro.machine.environment import GlobalEnv
 from repro.reader import read_all
+
+
+def eval_resolved_on_dict(source):
+    """Evaluate ``source`` as resolved IR on the dict engine's loop —
+    the tree walk of the resolver's dialect (slot ribs, interned cells)
+    that cross-engine and restored closures take.  Returns the value of
+    the last form."""
+    interp = Interpreter(policy="serial", engine="dict")
+    nodes = expand_program(read_all(source), interp.expand_env)
+    value = None
+    for node in resolve_program(nodes, interp.globals):
+        value = interp.machine.eval_node(node)
+    return value
 
 
 def resolve_source(source, genv=None):
@@ -115,7 +128,7 @@ EQUIV_PROGRAMS = [
 
 @pytest.mark.parametrize("source", EQUIV_PROGRAMS)
 def test_resolved_and_dict_agree(source):
-    resolved = Interpreter(policy="serial", engine="resolved").eval(source)
+    resolved = eval_resolved_on_dict(source)
     baseline = Interpreter(policy="serial", engine="dict").eval(source)
     assert type(resolved) is type(baseline)
     assert repr(resolved) == repr(baseline)

@@ -8,13 +8,14 @@ spill points.  These tests pin the observable contract:
 * a capture that fires mid-quantum sees exactly the machine state a
   quantum-of-one machine would have shown it;
 * ``StepBudgetExceeded`` fires at *exactly* ``max_steps`` transitions,
-  batched or not, with any quantum;
+  batched or driven one transition per call, with any quantum;
 * a trace hook forces a per-step spill — it observes coherent task
   registers and step counters on every transition;
 * ``profile=True`` keeps the VM counters, ``profile=False`` costs
   nothing and leaves them untouched;
-* the unbatched ablation driver and the PR-2 apply path it installs
-  are behaviourally identical to the fast path.
+* every engine's loop, driven one transition per call
+  (:func:`drive_stepwise`), behaves exactly like the same loop run a
+  whole quantum at a time.
 """
 
 import pytest
@@ -22,9 +23,35 @@ import pytest
 from repro import Interpreter
 from repro.errors import StepBudgetExceeded
 from repro.machine.scheduler import ENGINES
-from repro.machine.task import APPLY, EVAL, VALUE
+from repro.machine.task import APPLY, EVAL, VALUE, TaskState
 
 LOOP = "(define (count n) (if (= n 0) 'done (count (- n 1))))"
+
+
+def drive_stepwise(machine):
+    """Install a run-quantum wrapper on ``machine`` that calls the
+    engine's own loop with budget 1, up to the quantum's budget times,
+    while the task stays runnable — the loop driven one transition per
+    call.  Batching keeps the control registers in locals between
+    transitions; this takes them back out after every one, so any
+    register the spill protocol forgets shows up as a difference."""
+    loop = machine._run_quantum
+
+    def one_transition_per_call(machine, task, budget):
+        taken = 0
+        while taken < budget and task.state is TaskState.RUNNABLE:
+            taken += loop(machine, task, 1)
+        return taken
+
+    machine._run_quantum = one_transition_per_call
+    return machine
+
+
+def _interpreter(batched, **kwargs):
+    interp = Interpreter(**kwargs)
+    if not batched:
+        drive_stepwise(interp.machine)
+    return interp
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +63,7 @@ LOOP = "(define (count n) (if (= n 0) 'done (count (- n 1))))"
 @pytest.mark.parametrize("quantum", [1, 16, 4096])
 @pytest.mark.parametrize("max_steps", [1, 7, 100])
 def test_budget_raises_at_exactly_max_steps(batched, quantum, max_steps):
-    interp = Interpreter(engine="compiled", quantum=quantum, batched=batched)
+    interp = _interpreter(batched, engine="compiled", quantum=quantum)
     interp.run(LOOP)
     interp.machine.steps_total = 0  # the budget covers the loop only
     interp.machine.max_steps = max_steps
@@ -69,7 +96,7 @@ CAPTURE_PROGRAM = """
 def test_mid_quantum_capture_frame_chain(engine, batched):
     results = {}
     for quantum in (1, 4096):
-        interp = Interpreter(engine=engine, quantum=quantum, batched=batched)
+        interp = _interpreter(batched, engine=engine, quantum=quantum)
         interp.run(CAPTURE_PROGRAM)
         first = interp.eval("r")
         # Reinstating the saved continuation re-runs the additions
@@ -100,7 +127,7 @@ def test_multi_shot_reinstatement_mid_quantum(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("batched", [True, False])
 def test_trace_hook_sees_every_transition(engine, batched):
-    interp = Interpreter(engine=engine, quantum=4096, batched=batched)
+    interp = _interpreter(batched, engine=engine, quantum=4096)
     interp.run(LOOP)
     seen = []
 
@@ -126,7 +153,7 @@ def test_trace_hook_sees_every_transition(engine, batched):
 def test_trace_hook_count_is_batching_invariant():
     counts = {}
     for batched in (True, False):
-        interp = Interpreter(engine="compiled", quantum=16, batched=batched)
+        interp = _interpreter(batched, engine="compiled", quantum=16)
         interp.run(LOOP)
         calls = [0]
 
@@ -173,7 +200,7 @@ def test_profile_counts_trace_spills():
 
 
 # ---------------------------------------------------------------------------
-# The unbatched ablation driver and the PR-2 apply path
+# Every apply shape, batched and driven one transition per call
 # ---------------------------------------------------------------------------
 
 APPLY_SHAPES = [
@@ -191,31 +218,17 @@ APPLY_SHAPES = [
 @pytest.mark.parametrize("source,expected", APPLY_SHAPES)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_unbatched_apply_path_is_equivalent(engine, source, expected):
-    fast = Interpreter(engine=engine, batched=True)
-    slow = Interpreter(engine=engine, batched=False)
+    fast = _interpreter(True, engine=engine)
+    slow = _interpreter(False, engine=engine)
     assert fast.eval_to_string(source) == slow.eval_to_string(source) == expected
-
-
-def test_unbatched_machine_installs_ablation_seam():
-    from repro.machine.ablation import (
-        apply_deliver_unbatched,
-        apply_procedure_unbatched,
-    )
-    from repro.machine.step import apply_deliver, apply_procedure
-
-    fast = Interpreter(engine="compiled", batched=True).machine
-    slow = Interpreter(engine="compiled", batched=False).machine
-    assert fast._apply_procedure is apply_procedure
-    assert fast._apply_deliver is apply_deliver
-    assert slow._apply_procedure is apply_procedure_unbatched
-    assert slow._apply_deliver is apply_deliver_unbatched
+    assert fast.machine.steps_total == slow.machine.steps_total
 
 
 def test_arity_errors_agree_across_apply_paths():
     from repro.errors import ArityError
 
     for batched in (True, False):
-        interp = Interpreter(engine="compiled", batched=batched)
+        interp = _interpreter(batched, engine="compiled")
         with pytest.raises(ArityError):
             interp.eval("((lambda (a b) a) 1)")
         with pytest.raises(ArityError):

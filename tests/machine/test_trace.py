@@ -103,7 +103,7 @@ def test_counted_equals_emitted_across_engines_and_quanta():
     tracer must emit exactly one event per counter unit — including
     under the batched loop at quantum 4096, where the hook fires once
     per quantum."""
-    for engine in ("dict", "resolved", "compiled"):
+    for engine in ("dict", "compiled", "codegen"):
         for quantum in (1, 16, 4096):
             interp = Interpreter(engine=engine, quantum=quantum)
             interp.load_paper_example("search-all")

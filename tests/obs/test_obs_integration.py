@@ -16,7 +16,7 @@ from repro import Host, Interpreter
 from repro.errors import StepBudgetExceeded
 from repro.obs import Recorder, validate_chrome_trace
 
-ENGINES = ["dict", "resolved", "compiled"]
+ENGINES = ["dict", "compiled"]
 QUANTA = [1, 16, 4096]
 
 CHURN = """

@@ -10,7 +10,7 @@ from repro import Session
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.snapshot import FORMAT_VERSION, MAGIC, restore_session, snapshot_session
 
-ENGINES = ["dict", "resolved", "compiled", "codegen"]
+ENGINES = ["dict", "compiled", "codegen"]
 
 
 def drained(session: Session) -> Session:
@@ -239,6 +239,30 @@ def test_bad_version_rejected():
     blob[4] = FORMAT_VERSION + 1
     with pytest.raises(SnapshotFormatError):
         restore_session(bytes(blob))
+
+
+def test_v3_blob_rejected():
+    # v4 dropped fields from the header flags and the machine record;
+    # a v3 blob is refused up front rather than misread.
+    blob = bytearray(Session().snapshot())
+    assert FORMAT_VERSION == 4
+    blob[4] = 3
+    with pytest.raises(SnapshotFormatError, match="version 3"):
+        restore_session(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "policy,old,new",
+    [("round-robin", b"compiled", b"compilee"), ("serial", b"serial", b"seriak")],
+    ids=["engine", "policy"],
+)
+def test_unknown_header_string_rejected(policy, old, new):
+    blob = Session(policy=policy, prelude=False).snapshot()
+    # Same length, so every length prefix stays valid: only the header
+    # string itself is wrong.
+    assert blob.index(old) < 32
+    with pytest.raises(SnapshotFormatError, match=new.decode()):
+        restore_session(blob.replace(old, new, 1))
 
 
 def test_truncated_blob_rejected():

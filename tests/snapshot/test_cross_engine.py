@@ -4,8 +4,8 @@ restores and completes under another.
 ``Session.restore(blob, engine=...)`` overrides the header engine; the
 ``_N_CODE`` records are re-instantiated by the *restoring* engine
 (codegen re-emits through its ir-hash cache, compiled re-runs the
-closure compiler, the tree-walkers evaluate the resolved node
-directly).  Values must be byte-identical across the restoring
+closure compiler, the dict engine walks the resolved node directly).
+The restored machine runs the restoring engine's loop.  Values must be byte-identical across the restoring
 engines.  Step totals are only gated within one engine — engines
 legitimately differ in how many machine steps a program costs (codegen
 fuses more per step), so cross-engine totals are *expected* to differ.
@@ -22,7 +22,11 @@ PROG = (
     "(display (pcall + (loop 40 0) (loop 60 0) (loop 25 0)))"
 )
 
-RESTORE_ENGINES = ["codegen", "compiled", "resolved", "dict"]
+RESTORE_ENGINES = ["codegen", "compiled", "dict"]
+
+#: A new form that touches no prelude closure, so its step count
+#: depends only on the engine that compiles and runs it.
+FRESH_FORM = "(let loop ([i 0] [acc 0]) (if (< i 100) (loop (+ i 1) (+ acc i)) acc))"
 
 
 def drained(session: Session) -> Session:
@@ -87,6 +91,25 @@ def test_codegen_blob_under_compiled_serves_new_code():
     r = Session.restore(_mid_pcall_codegen_blob(), engine="compiled")
     drained(r)
     assert r.drive(r.submit("(loop 10 0)"))[-1] == 55
+
+
+def _steps_of_new_form(session: Session) -> int:
+    before = session.machine.steps_total
+    assert session.drive(session.submit(FRESH_FORM))[-1] == 4950
+    return session.machine.steps_total - before
+
+
+@pytest.mark.parametrize("target", RESTORE_ENGINES)
+@pytest.mark.parametrize("source", RESTORE_ENGINES)
+def test_restore_engine_override_reaches_the_machine(source, target):
+    s = Session(engine=source)
+    s.drive(s.submit("(define x 1)"))
+    r = Session.restore(s.snapshot(), engine=target)
+    fresh = Session(engine=target)
+    assert r.engine == target
+    assert r.machine.engine == r.engine
+    assert r.machine._run_quantum is fresh.machine._run_quantum
+    assert _steps_of_new_form(r) == _steps_of_new_form(fresh)
 
 
 def test_header_engine_used_when_no_override():

@@ -22,7 +22,7 @@ import pytest
 
 from repro import Session
 
-ENGINES = ["dict", "resolved", "compiled"]
+ENGINES = ["dict", "compiled"]
 QUANTA = [1, 16, 4096]
 
 PRELUDE = (
@@ -84,7 +84,7 @@ def run_reference(
     first, then 10k-step drain chunks.  The schedules must match
     because pump granularity is itself (deliberately) observable in
     ``tasks_created`` on the compiled engine — a tiny budget can force
-    a spill that materializes a task the batched driver would have
+    a spill that materializes a task a larger pump would have
     avoided."""
     s = Session(engine=engine, quantum=quantum, seed=seed)
     s.submit(program)
