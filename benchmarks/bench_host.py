@@ -160,7 +160,7 @@ def run_fairness() -> dict[str, object]:
             for k, handle in enumerate(handles):
                 if handle.done() and k not in finish_tick:
                     finish_tick[k] = tick
-        served = [sess.metrics.steps_served for sess in host]
+        served = [sess.stats["session.steps_served"] for sess in host]
         spread = max(served) / min(served) if min(served) else float("inf")
         same_tick = len(set(finish_tick.values())) == 1
         out[policy] = {

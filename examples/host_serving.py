@@ -67,7 +67,7 @@ def main() -> int:
         if ticks == 2 and not cancelled:
             doomed.cancel()  # tenant hung up mid-flight
             cancelled = True
-    print(f"drained in {ticks} ticks, {host.metrics.steps_served} machine steps\n")
+    print(f"drained in {ticks} ticks, {host.stats['host.steps_served']} machine steps\n")
 
     # -- results --------------------------------------------------------
     failures = 0

@@ -35,7 +35,6 @@ paper's criticism of it.
 """
 
 from repro.analysis.effects import (
-    AnalysisStats,
     EffectInfo,
     FormFacts,
     ProgramReport,
@@ -51,7 +50,6 @@ from repro.analysis.escape import (
 )
 
 __all__ = [
-    "AnalysisStats",
     "EffectInfo",
     "FormFacts",
     "ProgramReport",

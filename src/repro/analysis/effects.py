@@ -81,12 +81,12 @@ from repro.ir.nodes import (
 )
 from repro.machine.environment import UNBOUND
 from repro.machine.values import Closure, ControlPrimitive, MachineApplicable, Primitive
+from repro.obs.metrics import Metrics
 
 __all__ = [
     "EffectInfo",
     "FormFacts",
     "ProgramReport",
-    "AnalysisStats",
     "GRANT_QUANTUM",
     "annotate_program",
     "single_task_form",
@@ -199,46 +199,6 @@ class EffectInfo:
 
 
 @dataclass
-class AnalysisStats:
-    """Counters for the analysis phase, merged into ``Session.stats``
-    under the ``analysis.`` namespace (mirrors ``ResolverStats``)."""
-
-    #: Top-level forms analyzed (prelude included).
-    forms: int = 0
-    #: Lambda nodes stamped with an :class:`EffectInfo`.
-    lambdas: int = 0
-    #: Of those, how many proved capture-free / spawn-free / known-total.
-    capture_free: int = 0
-    spawn_free: int = 0
-    known_total: int = 0
-    #: Spawn sites seen across analyzed forms.
-    spawn_sites: int = 0
-    #: Worklist recomputations of program-local defines (each is one
-    #: walk of that define's body under the current assumptions).
-    fixpoint_passes: int = 0
-    #: Forms granted an enlarged quantum by the pump-time validator.
-    grants: int = 0
-
-    # Field order is the snapshot codec's wire order for the stats tuple.
-    _FIELDS = (
-        "forms",
-        "lambdas",
-        "capture_free",
-        "spawn_free",
-        "known_total",
-        "spawn_sites",
-        "fixpoint_passes",
-        "grants",
-    )
-
-    def as_dict(self) -> dict[str, int]:
-        # Prefixed like ResolverStats.as_dict, so Session.stats can both
-        # namespace them (``analysis.forms``) and keep a flat alias
-        # (``analysis_forms``) without colliding with machine counters.
-        return {f"analysis_{name}": getattr(self, name) for name in self._FIELDS}
-
-
-@dataclass
 class FormFacts:
     """Facts for one top-level form of an analyzed program."""
 
@@ -333,9 +293,9 @@ _EXIT = _ExitLambda()
 class _Analyzer:
     """One :func:`annotate_program` run over a resolved program."""
 
-    def __init__(self, globals_: Any, stats: AnalysisStats) -> None:
+    def __init__(self, globals_: Any, stats: Metrics) -> None:
         self.globals = globals_
-        self.stats = stats
+        self.stats = stats  # counts into analysis.*
         # Program-local (define name (lambda ...)) bindings: cell -> lambdas.
         self.defined: dict[Any, list[Lambda]] = {}
         # Cells assigned by set! anywhere in the program, or defined to a
@@ -465,7 +425,7 @@ class _Analyzer:
             budget -= 1
             cell = pending.popleft()
             queued.discard(cell)
-            self.stats.fixpoint_passes += 1
+            self.stats["analysis.fixpoint_passes"] += 1
             for key in self.owned.get(cell, ()):
                 self.memo.pop(key, None)
             self._cell = cell
@@ -594,7 +554,7 @@ def _classify(facts: tuple, n_sites: int) -> str:
 
 
 def annotate_program(
-    nodes: list[Node], globals_: Any, stats: AnalysisStats | None = None
+    nodes: list[Node], globals_: Any, stats: Metrics | None = None
 ) -> ProgramReport:
     """Analyze a resolved program, stamping facts onto its lambdas.
 
@@ -603,10 +563,13 @@ def annotate_program(
     :class:`ProgramReport`.  The report is *descriptive*: it reflects
     global cell values at annotation time and is used for request
     tagging and observability, never directly for scheduling grants
-    (see :func:`single_task_form`).
+    (see :func:`single_task_form`).  ``stats`` counts into its
+    ``analysis.*`` keys (forms, lambdas stamped and how many proved
+    capture-free / spawn-free / known-total, spawn sites, and fixpoint
+    re-walks of program-local defines).
     """
     if stats is None:
-        stats = AnalysisStats()
+        stats = Metrics()
     analyzer = _Analyzer(globals_, stats)
     analyzer.prepass(nodes)
     analyzer.fixpoint()
@@ -620,8 +583,8 @@ def annotate_program(
     for index, node in enumerate(nodes):
         facts = analyzer.eval_facts(node)
         sites = analyze_spawns([node]) if analyzer.form_spawn[index] else []
-        stats.forms += 1
-        stats.spawn_sites += len(sites)
+        stats["analysis.forms"] += 1
+        stats["analysis.spawn_sites"] += len(sites)
         report.spawn_sites.extend(sites)
         confined = True
         for site in sites:
@@ -656,10 +619,10 @@ def annotate_program(
         if facts[2]:
             n_total += 1
     report.lambdas = len(analyzer.lambdas)
-    stats.lambdas += report.lambdas
-    stats.capture_free += n_capture
-    stats.spawn_free += n_spawn
-    stats.known_total += n_total
+    stats["analysis.lambdas"] += report.lambdas
+    stats["analysis.capture_free"] += n_capture
+    stats["analysis.spawn_free"] += n_spawn
+    stats["analysis.known_total"] += n_total
 
     worst = "pure"
     for form in report.forms:

@@ -156,10 +156,7 @@ class Interpreter:
         self.globals = self.session.globals
         self.output = self.session.output
         self.expand_env = self.session.expand_env
-        self.resolver_stats = self.session.resolver_stats
-        self.compile_stats = self.session.compile_stats
         self.analysis = self.session.analysis
-        self.analysis_stats = self.session.analysis_stats
 
     @property
     def resolve(self) -> bool:
@@ -263,9 +260,7 @@ class Interpreter:
     @property
     def stats(self) -> dict[str, int]:
         """Machine counters (forks, captures, reinstatements, ...)
-        plus — when the resolver is on — its compile-stage counters,
-        plus the closure compiler's counters on the compiled engine,
-        plus the session serving counters.  Pipeline counters appear
-        under namespaced keys (``resolver.*``, ``compile.*``, ``vm.*``)
-        with the historical flat names kept as aliases."""
+        plus the session's frontend (``resolver.*``, ``analysis.*``,
+        ``compile.*`` or ``codegen.*``), ``vm.*`` (``profile=True``)
+        and ``session.*`` counters; see :attr:`Session.stats`."""
         return self.session.stats

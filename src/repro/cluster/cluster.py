@@ -47,7 +47,6 @@ from typing import Any, Callable
 
 from repro.clock import MONOTONIC
 from repro.cluster.handle import ClusterHandle
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.shard import ShardRuntime, shard_main
 from repro.cluster.store import MemoryStore, SnapshotStore
 from repro.errors import (
@@ -58,6 +57,7 @@ from repro.errors import (
     ShardDied,
 )
 from repro.host.handle import HandleState
+from repro.obs.metrics import Metrics
 
 __all__ = ["Cluster", "ClusterResult"]
 
@@ -273,7 +273,16 @@ class Cluster:
         self.store = store if store is not None else MemoryStore()
         self.session_defaults = dict(session_defaults or {})
         self.max_pending = max(1, max_pending)
-        self.metrics = ClusterMetrics()
+        self.metrics = Metrics(
+            ("cluster.submits", "cluster.completed", "cluster.failed",
+             "cluster.saturations", "cluster.cancellations", "cluster.snapshots",
+             "cluster.restores", "cluster.migrations", "cluster.recoveries",
+             "cluster.respawns", "cluster.evictions"),
+            # snapshot_us / restore_us are measured on the shard;
+            # request_us is the front-side submit round trip.
+            histograms=("cluster.snapshot_bytes", "cluster.snapshot_us",
+                        "cluster.restore_us", "cluster.request_us"),
+        )
         # The dispatcher thread serializes shard round-trips; the op
         # lock additionally serializes them against mobility calls
         # (evict/migrate/snapshot_now) from the caller's thread, so
@@ -398,12 +407,12 @@ class Cluster:
         with self._cv:
             depth = len(self._queue) + (1 if self._inflight is not None else 0)
             if depth >= self.max_pending:
-                self.metrics.saturations += 1
+                self.metrics["cluster.saturations"] += 1
                 raise HostSaturated(
                     f"cluster {self.name}: submit queue full "
                     f"({depth}/{self.max_pending})"
                 )
-            self.metrics.submits += 1
+            self.metrics["cluster.submits"] += 1
             self._queue.append(handle)
             if self._dispatcher is None:
                 self._dispatcher = threading.Thread(
@@ -425,7 +434,7 @@ class Cluster:
                 self._queue.remove(handle)
             except ValueError:  # pragma: no cover - defensive
                 return False
-            self.metrics.cancellations += 1
+            self.metrics["cluster.cancellations"] += 1
             handle._resolve(
                 exc=SessionCancelled(
                     f"cluster {self.name}: request {handle.uid} cancelled while queued"
@@ -461,7 +470,7 @@ class Cluster:
         if handle.deadline_at is not None:
             deadline = handle.deadline_at - self._clock()
             if deadline <= 0:
-                self.metrics.failed += 1
+                self.metrics["cluster.failed"] += 1
                 handle._resolve(
                     exc=DeadlineExceeded(
                         f"cluster {self.name}: request {handle.uid} missed its "
@@ -483,14 +492,14 @@ class Cluster:
                         handle.session_id, handle.source, handle.max_steps, deadline
                     )
         except BaseException as exc:  # noqa: BLE001 - resolve, never kill the loop
-            self.metrics.failed += 1
+            self.metrics["cluster.failed"] += 1
             handle._resolve(exc=exc)
             return
-        self.metrics.request_us.observe((perf_counter() - t0) * 1e6)
+        self.metrics.observe("cluster.request_us", (perf_counter() - t0) * 1e6)
         if result.ok:
-            self.metrics.completed += 1
+            self.metrics["cluster.completed"] += 1
         else:
-            self.metrics.failed += 1
+            self.metrics["cluster.failed"] += 1
         handle._resolve(result=result)
 
     def _submit_once(
@@ -529,7 +538,7 @@ class Cluster:
         """A worker died under this request: respawn it, invalidate its
         residents, and replay against the last snapshot."""
         shard = self.shards[index]
-        self.metrics.respawns += 1
+        self.metrics["cluster.respawns"] += 1
         shard.respawn()
         # Every session that was live on that worker is gone from RAM;
         # they all rehydrate from the store on next touch.
@@ -549,7 +558,7 @@ class Cluster:
         if rec is not None and rec.enabled:
             rec.emit("cluster.recover", session_id)
         reply = self.shards[index].request("submit", payload)
-        self.metrics.recoveries += 1
+        self.metrics["cluster.recoveries"] += 1
         return reply
 
     def _finish(self, reply: dict[str, Any], *, recovered: bool) -> ClusterResult:
@@ -558,14 +567,14 @@ class Cluster:
         session_id = reply["session_id"]
         self._resident[session_id] = reply["shard"]
         if reply.get("restored"):
-            self.metrics.restores += 1
-            self.metrics.restore_us.observe(reply.get("restore_us", 0.0))
+            self.metrics["cluster.restores"] += 1
+            self.metrics.observe("cluster.restore_us", reply.get("restore_us", 0.0))
         blob = reply.get("snapshot")
         if blob is not None:
             self.store.put(session_id, blob)
-            self.metrics.snapshots += 1
-            self.metrics.snapshot_bytes.observe(len(blob))
-            self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
+            self.metrics["cluster.snapshots"] += 1
+            self.metrics.observe("cluster.snapshot_bytes", len(blob))
+            self.metrics.observe("cluster.snapshot_us", reply.get("snapshot_us", 0.0))
         return ClusterResult(
             session_id=session_id,
             shard=reply["shard"],
@@ -594,10 +603,10 @@ class Cluster:
             blob = reply.get("snapshot")
             if blob is not None:
                 self.store.put(session_id, blob)
-                self.metrics.snapshots += 1
-                self.metrics.snapshot_bytes.observe(len(blob))
-                self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
-            self.metrics.evictions += 1
+                self.metrics["cluster.snapshots"] += 1
+                self.metrics.observe("cluster.snapshot_bytes", len(blob))
+                self.metrics.observe("cluster.snapshot_us", reply.get("snapshot_us", 0.0))
+            self.metrics["cluster.evictions"] += 1
             return bool(reply.get("resident"))
 
     def migrate(self, session_id: str, to_shard: int) -> int:
@@ -617,7 +626,7 @@ class Cluster:
             if self._resident.get(session_id) is not None:
                 self.evict(session_id)
             self._placement[session_id] = to_shard
-            self.metrics.migrations += 1
+            self.metrics["cluster.migrations"] += 1
         return to_shard
 
     def snapshot_now(self, session_id: str) -> bytes | None:
@@ -633,9 +642,9 @@ class Cluster:
             blob = reply.get("snapshot")
             if blob is not None:
                 self.store.put(session_id, blob)
-                self.metrics.snapshots += 1
-                self.metrics.snapshot_bytes.observe(len(blob))
-                self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
+                self.metrics["cluster.snapshots"] += 1
+                self.metrics.observe("cluster.snapshot_bytes", len(blob))
+                self.metrics.observe("cluster.snapshot_us", reply.get("snapshot_us", 0.0))
             return blob
 
     # -- introspection / lifecycle ---------------------------------------
@@ -674,7 +683,7 @@ class Cluster:
             self._closed = True
             while self._queue:
                 handle = self._queue.popleft()
-                self.metrics.cancellations += 1
+                self.metrics["cluster.cancellations"] += 1
                 handle._resolve(
                     exc=SessionCancelled(
                         f"cluster {self.name}: request {handle.uid} abandoned "
@@ -693,7 +702,7 @@ class Cluster:
         with self._cv:
             inflight = self._inflight
         if inflight is not None and not inflight.done():
-            self.metrics.cancellations += 1
+            self.metrics["cluster.cancellations"] += 1
             inflight._resolve(
                 exc=SessionCancelled(
                     f"cluster {self.name}: request {inflight.uid} abandoned "

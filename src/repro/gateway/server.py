@@ -42,11 +42,11 @@ from repro.clock import MONOTONIC
 from repro.cluster.cluster import Cluster
 from repro.cluster.handle import ClusterHandle
 from repro.errors import FrameError, GatewayError, HostSaturated, ShardDied
-from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.protocol import OPS, decode_frame, encode_frame, error_frame
 from repro.gateway.quota import GatewayLimits, QuotaTable
 from repro.host.handle import EvalHandle, HandleState
 from repro.host.host import Host
+from repro.obs.metrics import Metrics
 from repro.obs.recorder import Recorder
 
 __all__ = ["Gateway"]
@@ -334,7 +334,17 @@ class Gateway:
         self.host = host
         self.port = port
         self.limits = limits if limits is not None else GatewayLimits()
-        self.metrics = GatewayMetrics()
+        # Mutated only on the asyncio thread (terminal states are
+        # marshalled there before counting).  gateway.recovery.* is the
+        # wire-visible failure-transparency contract (docs/SERVING.md).
+        self.metrics = Metrics(
+            ("gateway.connections", "gateway.disconnects", "gateway.frames",
+             "gateway.submits", "gateway.completed", "gateway.failed",
+             "gateway.cancelled", "gateway.shed", "gateway.protocol_errors",
+             "gateway.disconnect_cancels", "gateway.output_events",
+             "gateway.recovery.replays", "gateway.recovery.failures"),
+            histograms=("gateway.request_us", "gateway.result_wait_us"),
+        )
         if record is True:
             self.recorder: Recorder | None = Recorder()
         elif record is False:
@@ -343,6 +353,7 @@ class Gateway:
             self.recorder = record
         self.quota = QuotaTable(self.limits, clock=clock)
         self._requests: dict[int, _Request] = {}
+        self._conns: dict[_Connection, asyncio.Task[None]] = {}  # live handlers
         self._rids = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -380,6 +391,21 @@ class Gateway:
         self._closed = True
         if self._server is not None:
             self._server.close()
+            # Drop live connections and let their handlers finish (the
+            # read sees EOF; a blocked `result` wait is failed) before
+            # returning: a handler still running when the loop shuts
+            # down is cancelled, which asyncio's stream callback logs
+            # as an error.
+            for conn in self._conns:
+                conn.closed = True
+                conn.writer.close()
+            for req in self._requests.values():
+                for fut in req.waiters:
+                    if not fut.done():
+                        fut.set_exception(GatewayError(f"gateway {self.name} closed"))
+            me = asyncio.current_task()
+            handlers = [task for task in self._conns.values() if task is not me]
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         self._stop.set()
         if self._pump is not None:
@@ -493,7 +519,7 @@ class Gateway:
         conn = req.conn
         if conn is None or conn.closed or req.terminal is not None:
             return
-        self.metrics.output_events += 1
+        self.metrics["gateway.output_events"] += 1
         asyncio.ensure_future(
             conn.send({"event": "output", "request": req.rid, "text": text})
         )
@@ -526,20 +552,20 @@ class Gateway:
         self.quota.release(req.tenant)
         state = payload["state"]
         if state == "done":
-            self.metrics.completed += 1
+            self.metrics["gateway.completed"] += 1
         elif state == "failed":
-            self.metrics.failed += 1
+            self.metrics["gateway.failed"] += 1
         else:
-            self.metrics.cancelled += 1
+            self.metrics["gateway.cancelled"] += 1
         recovered = payload.get("recovered")
         if recovered is True:
             # A shard died under this request and a snapshot replay on
             # a respawned worker still produced the answer.
-            self.metrics.recovery_replays += 1
+            self.metrics["gateway.recovery.replays"] += 1
         elif recovered is False:
-            self.metrics.recovery_failures += 1
+            self.metrics["gateway.recovery.failures"] += 1
         dur = perf_counter() - req.admitted_ts
-        self.metrics.request_us.observe(dur * 1e6)
+        self.metrics.observe("gateway.request_us", dur * 1e6)
         rec = self.recorder
         if rec is not None and rec.enabled:
             # X-events only: the pump thread shares this recorder, so
@@ -557,7 +583,8 @@ class Gateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Connection(writer)
-        self.metrics.connections += 1
+        self._conns[conn] = asyncio.current_task()  # type: ignore[assignment]
+        self.metrics["gateway.connections"] += 1
         try:
             while True:
                 try:
@@ -565,7 +592,7 @@ class Gateway:
                 except (asyncio.LimitOverrunError, ValueError):
                     # The line outgrew the stream limit: the connection
                     # is no longer line-synchronised — refuse and close.
-                    self.metrics.protocol_errors += 1
+                    self.metrics["gateway.protocol_errors"] += 1
                     await conn.send(
                         error_frame(
                             None,
@@ -585,16 +612,17 @@ class Gateway:
                         line, max_bytes=self.limits.max_frame_bytes
                     )
                 except FrameError as exc:
-                    self.metrics.protocol_errors += 1
+                    self.metrics["gateway.protocol_errors"] += 1
                     await conn.send(error_frame(None, exc.code, str(exc)))
                     if exc.code == "oversize":
                         return
                     continue
-                self.metrics.frames += 1
+                self.metrics["gateway.frames"] += 1
                 await self._dispatch(conn, frame)
         finally:
+            del self._conns[conn]
             conn.closed = True
-            self.metrics.disconnects += 1
+            self.metrics["gateway.disconnects"] += 1
             self._abandon(conn)
             try:
                 writer.close()
@@ -615,7 +643,7 @@ class Gateway:
                 req.conn = None  # events have nowhere to go
                 handle = req.handle
                 if handle is not None:
-                    self.metrics.disconnect_cancels += 1
+                    self.metrics["gateway.disconnect_cancels"] += 1
                     self._cmds.put(lambda h=handle: self.backend.cancel(h))
         conn.requests.clear()
 
@@ -623,7 +651,7 @@ class Gateway:
         fid = frame.get("id")
         op = frame.get("op")
         if op not in OPS:
-            self.metrics.protocol_errors += 1
+            self.metrics["gateway.protocol_errors"] += 1
             await conn.send(error_frame(fid, "unknown-op", f"unknown op {op!r}"))
             return
         try:
@@ -640,7 +668,7 @@ class Gateway:
             else:  # ping
                 await conn.send({"id": fid, "ok": True, "pong": True})
         except _Invalid as exc:
-            self.metrics.protocol_errors += 1
+            self.metrics["gateway.protocol_errors"] += 1
             await conn.send(error_frame(fid, "invalid", str(exc)))
         except Exception as exc:  # noqa: BLE001 - the connection survives
             await conn.send(error_frame(fid, "internal", f"{type(exc).__name__}: {exc}"))
@@ -672,7 +700,7 @@ class Gateway:
         refusal = self.quota.admit(tenant)
         if refusal is not None:
             reason, wait = refusal
-            self.metrics.shed += 1
+            self.metrics["gateway.shed"] += 1
             await conn.send(
                 error_frame(
                     fid,
@@ -706,7 +734,7 @@ class Gateway:
             # The backend itself refused: same shed contract as a
             # quota refusal — structured busy, nothing buffered.
             self.quota.release(tenant)
-            self.metrics.shed += 1
+            self.metrics["gateway.shed"] += 1
             await conn.send(
                 error_frame(
                     fid,
@@ -722,7 +750,7 @@ class Gateway:
                 error_frame(fid, "internal", f"{type(exc).__name__}: {exc}")
             )
             return
-        self.metrics.submits += 1
+        self.metrics["gateway.submits"] += 1
         self._requests[rid] = req
         conn.requests.add(rid)
         await conn.send(
@@ -786,7 +814,7 @@ class Gateway:
                     }
                 )
                 return
-        self.metrics.result_wait_us.observe((perf_counter() - t0) * 1e6)
+        self.metrics.observe("gateway.result_wait_us", (perf_counter() - t0) * 1e6)
         await conn.send({"id": fid, "ok": True, "request": req.rid, **payload})
 
     async def _op_cancel(

@@ -38,8 +38,8 @@ from typing import Any, Iterator
 
 from repro.errors import HostSaturated, ReproError
 from repro.host.handle import EvalHandle
-from repro.host.metrics import HostMetrics
 from repro.host.session import Session
+from repro.obs.metrics import Metrics, rollup
 from repro.obs.recorder import Recorder
 
 __all__ = ["DEFICIT_CAP_TICKS", "Host", "HostPolicy"]
@@ -114,7 +114,11 @@ class Host:
         self.sessions: list[Session] = []
         self._by_name: dict[str, Session] = {}
         self._deficit: dict[str, int] = {}
-        self.metrics = HostMetrics()
+        self.metrics = Metrics(
+            ("host.ticks", "host.submits", "host.saturations", "host.steps_served",
+             "host.session_faults"),
+            histograms=("host.tick_us", "host.steps_per_tick"),
+        )
         if record is True:
             self.recorder: Recorder | None = Recorder()
         elif record is False:
@@ -195,7 +199,7 @@ class Host:
         if session.name not in self._by_name or self._by_name[session.name] is not session:
             raise ValueError(f"host {self.name}: {session.name!r} is not one of my sessions")
         if self.queue_depth >= self.max_pending:
-            self.metrics.saturations += 1
+            self.metrics["host.saturations"] += 1
             raise HostSaturated(
                 f"host {self.name}: queue full ({self.queue_depth}/{self.max_pending})"
             )
@@ -204,9 +208,9 @@ class Host:
                 source, max_steps=max_steps, deadline=deadline, tenant=tenant
             )
         except HostSaturated:
-            self.metrics.saturations += 1
+            self.metrics["host.saturations"] += 1
             raise
-        self.metrics.submits += 1
+        self.metrics["host.submits"] += 1
         return handle
 
     def cancel(self, handle: EvalHandle) -> bool:
@@ -232,16 +236,16 @@ class Host:
         t0 = _perf_counter()
         rec = self.recorder
         if rec is not None and rec.enabled:
-            with rec.span("host.tick", f"tick {self.metrics.ticks}", track="host"):
+            with rec.span("host.tick", f"tick {self.metrics['host.ticks']}", track="host"):
                 total = self._tick()
         else:
             total = self._tick()
-        self.metrics.tick_us.observe((_perf_counter() - t0) * 1e6)
-        self.metrics.tick_steps.observe(total)
+        self.metrics.observe("host.tick_us", (_perf_counter() - t0) * 1e6)
+        self.metrics.observe("host.steps_per_tick", total)
         return total
 
     def _tick(self) -> int:
-        self.metrics.ticks += 1
+        self.metrics["host.ticks"] += 1
         deficit = self.policy is HostPolicy.DEFICIT
         weights = self.class_weights
         total = 0
@@ -265,22 +269,22 @@ class Host:
                 if session.idle:
                     continue
                 budget = quantum
-            served_before = session.metrics.steps_served
+            served_before = session.metrics["session.steps_served"]
             try:
                 spent = session.pump(budget)
             except ReproError:
-                self.metrics.session_faults += 1
+                self.metrics["host.session_faults"] += 1
                 # The pump accounts every executed step into the
                 # session's steps_served before the fault propagates;
                 # recover the partial spend from that counter so the
                 # steps stay visible in host.steps_served and the
                 # deficit bank does not treat a faulted tick as free
                 # credit.
-                spent = session.metrics.steps_served - served_before
+                spent = session.metrics["session.steps_served"] - served_before
             total += spent
             if deficit:
                 self._deficit[session.name] = max(0, credit - spent)
-        self.metrics.steps_served += total
+        self.metrics["host.steps_served"] += total
         return total
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
@@ -299,16 +303,14 @@ class Host:
     @property
     def stats(self) -> dict[str, int]:
         """Host counters (``host.*``) plus per-session rollups of the
-        serving counters (summed across sessions, ``host.sessions.*``)."""
+        serving counters (``host.sessions.*``: summed across sessions,
+        except the high-water mark ``max_queue_depth``, which is the
+        largest session's)."""
         out = self.metrics.as_dict()
         out["host.sessions"] = len(self.sessions)
-        rollup: dict[str, int] = {}
-        for session in self.sessions:
-            for key, value in session.metrics.as_dict().items():
-                short = key.split(".", 1)[1]
-                rollup[short] = rollup.get(short, 0) + value
-        for key, value in sorted(rollup.items()):
-            out[f"host.sessions.{key}"] = value
+        combined = rollup((s.metrics for s in self.sessions), "session")
+        for key, value in sorted(combined.items()):
+            out[f"host.{key.replace('session.', 'sessions.', 1)}"] = value
         return out
 
     def session_stats(self) -> dict[str, dict[str, int]]:
@@ -322,7 +324,8 @@ class Host:
         ``BENCH_results.json``)."""
         out: dict[str, Any] = self.metrics.histograms()
         for session in self.sessions:
-            out.update(session.metrics.histograms(prefix=f"session.{session.name}"))
+            for key, value in session.metrics.histograms().items():
+                out[f"session.{session.name}.{key.partition('.')[2]}"] = value
         return out
 
     def __repr__(self) -> str:

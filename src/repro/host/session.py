@@ -51,28 +51,16 @@ from repro.errors import (
     SessionCancelled,
     StepBudgetExceeded,
 )
-from repro.analysis.effects import (
-    GRANT_QUANTUM,
-    AnalysisStats,
-    annotate_program,
-    single_task_form,
-)
+from repro.analysis.effects import GRANT_QUANTUM, annotate_program, single_task_form
 from repro.expander import ExpandEnv, expand_program
 from repro.control import register_control_primitives
 from repro.host.handle import EvalHandle, HandleState
-from repro.host.metrics import SessionMetrics
-from repro.ir import (
-    CodegenStats,
-    CompileStats,
-    ResolverStats,
-    codegen_program,
-    compile_program,
-    resolve_program,
-)
+from repro.ir import codegen_program, compile_program, resolve_program
 from repro.lib import PRELUDE, paper_examples
 from repro.lib.derived import LIBRARIES
 from repro.machine.environment import GlobalEnv
 from repro.machine.scheduler import Engine, Machine, SchedulerPolicy, normalize_engine
+from repro.obs.metrics import Metrics
 from repro.obs.recorder import Recorder
 from repro.primitives import OutputBuffer, install_primitives
 from repro.reader import read_all
@@ -84,10 +72,39 @@ _session_ids = itertools.count()
 #: Ordering for backlog_classification: higher = more demanding.
 _CLASS_RANK = {"pure": 0, "unknown": 1, "capture-heavy": 2, "spawning": 3}
 
+#: The counter each analysis classification bumps ("unknown": none).
+_SUBMIT_COUNTERS = {
+    "pure": "session.submits_pure",
+    "capture-heavy": "session.submits_capture_heavy",
+    "spawning": "session.submits_spawning",
+}
+
 #: Default pump chunk for synchronous driving (drive()/result()): big
 #: enough that chunking is invisible, small enough that wall-clock
 #: deadlines are still honoured promptly inside one pump.
 _DRIVE_CHUNK = 1 << 20
+
+#: Every counter of a session's record, in ``stats`` order.  All are
+#: held whatever the engine (a snapshot restores them under any
+#: engine); ``stats`` shows the frontend namespaces the engine runs.
+_COUNTERS = tuple(
+    f"{namespace}.{name}"
+    for namespace, names in (
+        ("resolver", "locals globals lambdas cells_interned cell_cache_hits"),
+        ("analysis", "forms lambdas capture_free spawn_free known_total "
+                     "spawn_sites fixpoint_passes grants"),
+        ("compile", "nodes lambdas apps_inlined tests_inlined"),
+        ("codegen", "hits misses evictions emit_us nodes lambdas apps_inlined "
+                    "tests_inlined prims_inlined inline_bodies self_inlines "
+                    "spill_elisions fallback_nodes"),
+        # Serving counters; the three submits_* are _SUBMIT_COUNTERS.
+        ("session", "submits evals_completed evals_failed deadline_misses "
+                    "cancellations saturations quanta_served steps_served "
+                    "max_queue_depth submits_pure submits_capture_heavy "
+                    "submits_spawning"),
+    )
+    for name in names.split()
+)
 
 
 class Session:
@@ -132,10 +149,17 @@ class Session:
         self.name = name if name is not None else f"session-{next(_session_ids)}"
         self.engine = engine
         self.analysis = bool(analysis) and engine != "dict"
-        self.analysis_stats = AnalysisStats()
-        self.resolver_stats = ResolverStats()
-        self.compile_stats = CompileStats()
-        self.codegen_stats = CodegenStats()
+        # The frontend namespaces ``stats`` shows for this engine.
+        self._shown: tuple[str, ...] = ()
+        if engine != "dict":
+            stage = "codegen" if engine == "codegen" else "compile"
+            analysis_ns = ("analysis",) if self.analysis else ()
+            self._shown = ("resolver", *analysis_ns, stage)
+        self.metrics = Metrics(
+            _COUNTERS,
+            histograms=("session.latency_us", "session.steps_per_request"),
+            peaks=("session.max_queue_depth",),
+        )
         self.globals = GlobalEnv()
         self.output = install_primitives(self.globals, OutputBuffer(echo=echo_output))
         register_control_primitives(self.globals)
@@ -155,10 +179,9 @@ class Session:
         self._pending: deque[EvalHandle] = deque()
         self._active: EvalHandle | None = None
         self._in_pump = False
-        self.metrics = SessionMetrics()
         if prelude:
             self.drive(self.submit(PRELUDE))
-            self.metrics = SessionMetrics()  # the prelude is not user traffic
+            self.metrics.reset("session")  # the prelude is not user traffic
             if self.machine.recorder is not None:
                 self.machine.recorder.clear()  # nor are its events
         self.machine.steps_total = 0
@@ -196,7 +219,7 @@ class Session:
         the bounded queue is full.
         """
         if self.queue_depth >= self.max_pending:
-            self.metrics.saturations += 1
+            self.metrics["session.saturations"] += 1
             raise HostSaturated(
                 f"session {self.name}: submit queue full "
                 f"({self.queue_depth}/{self.max_pending})"
@@ -212,17 +235,12 @@ class Session:
         if report is not None:
             handle.report = report
             handle.classification = report.classification
-            if report.classification == "pure":
-                self.metrics.submits_pure += 1
-            elif report.classification == "capture-heavy":
-                self.metrics.submits_capture_heavy += 1
-            elif report.classification == "spawning":
-                self.metrics.submits_spawning += 1
+            counter = _SUBMIT_COUNTERS.get(report.classification)
+            if counter is not None:
+                self.metrics[counter] += 1
         self._pending.append(handle)
-        self.metrics.submits += 1
-        depth = self.queue_depth
-        if depth > self.metrics.max_queue_depth:
-            self.metrics.max_queue_depth = depth
+        self.metrics["session.submits"] += 1
+        self.metrics.peak("session.max_queue_depth", self.queue_depth)
         return handle
 
     def _frontend(self, source: str) -> tuple[list[Any], Any]:
@@ -230,15 +248,15 @@ class Session:
         nodes = expand_program(forms, self.expand_env)
         report = None
         if self.engine != "dict":
-            nodes = resolve_program(nodes, self.globals, self.resolver_stats)
+            nodes = resolve_program(nodes, self.globals, self.metrics)
             if self.analysis:
                 # The phase runs on resolved IR, before compilation, so
                 # the compiler bakes the stamped facts into closures.
-                report = annotate_program(nodes, self.globals, self.analysis_stats)
+                report = annotate_program(nodes, self.globals, self.metrics)
             if self.engine == "compiled":
-                nodes = compile_program(nodes, self.compile_stats)
+                nodes = compile_program(nodes, self.metrics)
             elif self.engine == "codegen":
-                nodes = codegen_program(nodes, self.codegen_stats)
+                nodes = codegen_program(nodes, self.metrics)
         return nodes, report
 
     # -- state -----------------------------------------------------------
@@ -352,7 +370,7 @@ class Session:
                     continue
                 if handle._node_index >= len(handle.nodes):
                     handle.state = HandleState.DONE
-                    self.metrics.evals_completed += 1
+                    self.metrics["session.evals_completed"] += 1
                     self._finish_request(handle)
                     self._active = None
                     continue
@@ -379,7 +397,7 @@ class Session:
                     )
                     machine.quantum_grant = GRANT_QUANTUM if granted else None
                     if granted:
-                        self.analysis_stats.grants += 1
+                        self.metrics["analysis.grants"] += 1
                     machine.begin_eval(node)
                     handle._node_running = True
                 handle_cap = None
@@ -442,18 +460,18 @@ class Session:
         finally:
             self._in_pump = False
             if served:
-                self.metrics.quanta_served += 1
+                self.metrics["session.quanta_served"] += 1
 
     def _account(self, handle: EvalHandle, taken: int) -> int:
         handle.steps += taken
-        self.metrics.steps_served += taken
+        self.metrics["session.steps_served"] += taken
         return taken
 
     def _finish_request(self, handle: EvalHandle) -> None:
         """Observe a request reaching *any* terminal state into the
         session's latency and steps histograms."""
-        latency_us = (_monotonic() - handle.submitted_at) * 1e6
-        self.metrics.observe_request(latency_us, handle.steps)
+        self.metrics.observe("session.latency_us", (_monotonic() - handle.submitted_at) * 1e6)
+        self.metrics.observe("session.steps_per_request", handle.steps)
 
     def _fail_pending(self, fault: BaseException) -> None:
         """Session-fatal fault containment: resolve every still-queued
@@ -470,8 +488,8 @@ class Session:
                 ),
                 HandleState.CANCELLED,
             )
-            self.metrics.evals_failed += 1
-            self.metrics.cancellations += 1
+            self.metrics["session.evals_failed"] += 1
+            self.metrics["session.cancellations"] += 1
             self._finish_request(handle)
 
     def _abort_active(self, exc: BaseException, *, kind: str) -> None:
@@ -486,11 +504,11 @@ class Session:
             handle._node_running = False
         state = HandleState.CANCELLED if kind == "cancel" else HandleState.FAILED
         handle._fail(exc, state)
-        self.metrics.evals_failed += 1
+        self.metrics["session.evals_failed"] += 1
         if kind == "deadline":
-            self.metrics.deadline_misses += 1
+            self.metrics["session.deadline_misses"] += 1
         elif kind == "cancel":
-            self.metrics.cancellations += 1
+            self.metrics["session.cancellations"] += 1
         self._finish_request(handle)
         self._active = None
 
@@ -527,8 +545,8 @@ class Session:
             ),
             HandleState.CANCELLED,
         )
-        self.metrics.evals_failed += 1
-        self.metrics.cancellations += 1
+        self.metrics["session.evals_failed"] += 1
+        self.metrics["session.cancellations"] += 1
         self._finish_request(handle)
         return True
 
@@ -659,25 +677,16 @@ class Session:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Machine counters plus the compile-stage and VM counters,
-        namespaced (``resolver.*``, ``compile.*``, ``vm.*``,
-        ``session.*``).  Namespacing makes the merge collision-safe —
-        a namespaced key can never silently overwrite a machine
-        counter.  The pre-1.4 flat aliases (``resolver_locals``,
-        ``compile_nodes``, ``vm_quanta``, ...) are gone; see the 1.4.0
-        release note in README.md."""
+        """Machine counters plus the session record's frontend
+        (``resolver.*``, ``analysis.*``, ``compile.*`` or
+        ``codegen.*``, per engine), ``vm.*`` (with ``profile=True``)
+        and ``session.*`` counters.  Only the machine's own counters
+        are unprefixed, so no key can overwrite another."""
         out = dict(self.machine.stats)
-        if self.engine != "dict":
-            _merge_namespaced(out, "resolver", self.resolver_stats.as_dict())
-            if self.analysis:
-                _merge_namespaced(out, "analysis", self.analysis_stats.as_dict())
-            if self.engine == "compiled":
-                _merge_namespaced(out, "compile", self.compile_stats.as_dict())
-            elif self.engine == "codegen":
-                _merge_namespaced(out, "codegen", self.codegen_stats.as_dict())
+        out.update(self.metrics.select(self._shown))
         if self.machine.profile:
-            _merge_namespaced(out, "vm", self.machine.vm_stats)
-        out.update(self.metrics.as_dict())
+            out.update((f"vm.{k[3:]}", v) for k, v in self.machine.vm_stats.items())
+        out.update(self.metrics.select(("session",)))
         return out
 
     def __repr__(self) -> str:
@@ -686,12 +695,3 @@ class Session:
             f"depth={self.queue_depth} {'idle' if self.idle else 'busy'}>"
         )
 
-
-def _merge_namespaced(out: dict[str, int], prefix: str, counters: dict[str, int]) -> None:
-    """Merge ``counters`` under ``prefix.*`` (the stats records export
-    raw ``prefix_name`` keys; the namespaced form is the only public
-    spelling since 1.4.0)."""
-    marker = prefix + "_"
-    for key, value in counters.items():
-        short = key[len(marker):] if key.startswith(marker) else key
-        out[f"{prefix}.{short}"] = value

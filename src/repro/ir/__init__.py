@@ -30,7 +30,7 @@ from repro.ir.nodes import (
 from repro.ir.free_vars import free_variables
 from repro.ir.hashing import stable_hash
 from repro.ir.pretty import pretty
-from repro.ir.resolve import ResolverStats, resolve_node, resolve_program
+from repro.ir.resolve import resolve_node, resolve_program
 
 # Imported last: repro.ir.compile and repro.ir.codegen depend on
 # repro.machine, which in turn imports repro.ir — by this point every
@@ -38,8 +38,8 @@ from repro.ir.resolve import ResolverStats, resolve_node, resolve_program
 # before the compilers bind ``apply_deliver`` from it.  The package
 # enters here first: repro.analysis imports repro.ir before anything
 # imports repro.machine.
-from repro.ir.compile import CompileStats, compile_node, compile_program
-from repro.ir.codegen import CodegenStats, codegen_node, codegen_program
+from repro.ir.compile import compile_node, compile_program
+from repro.ir.codegen import codegen_node, codegen_program
 
 __all__ = [
     "Node",
@@ -59,13 +59,10 @@ __all__ = [
     "free_variables",
     "pretty",
     "stable_hash",
-    "ResolverStats",
     "resolve_node",
     "resolve_program",
-    "CompileStats",
     "compile_node",
     "compile_program",
-    "CodegenStats",
     "codegen_node",
     "codegen_program",
 ]

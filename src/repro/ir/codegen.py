@@ -78,7 +78,6 @@ entry (counted as a miss).  Stats: ``codegen.hits`` / ``misses`` /
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 from types import CodeType
 from typing import Any, Callable
@@ -86,7 +85,6 @@ from typing import Any, Callable
 from repro.datum import UNSPECIFIED
 from repro.errors import CompileError, UnboundVariableError
 from repro.ir.compile import compile_node
-from repro.ir.compile import CompileStats as _ScratchStats
 from repro.ir.hashing import stable_hash
 from repro.ir.nodes import (
     App,
@@ -118,9 +116,9 @@ from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure, Primitive
+from repro.obs.metrics import Metrics
 
 __all__ = [
-    "CodegenStats",
     "codegen_node",
     "codegen_program",
     "emitted_source",
@@ -164,59 +162,6 @@ _INLINE_BODY_DEPTH = 3
 
 _CACHE_CAPACITY = 256
 _CODE_CACHE: "OrderedDict[str, tuple[str, CodeType]]" = OrderedDict()
-
-
-@dataclass
-class CodegenStats:
-    """Counters accumulated across every ``codegen_program`` call of a
-    session (surfaced by ``,stats`` and the ``codegen.*`` namespace)."""
-
-    #: Code-cache hits (digest present and regenerated source matched).
-    hits: int = 0
-    #: Cache misses (first emit, or a source-verification mismatch).
-    misses: int = 0
-    #: LRU evictions.
-    evictions: int = 0
-    #: Total microseconds spent in ``codegen_node`` (emit + compile +
-    #: exec), cache hits included.
-    emit_us: int = 0
-    nodes_emitted: int = 0
-    lambdas_emitted: int = 0
-    #: Applications whose operator and every operand were evaluated and
-    #: dispatched inline (no AppFrame on the happy path).
-    apps_inlined: int = 0
-    #: ``if`` tests decided inline (trivial or primitive-guarded).
-    tests_inlined: int = 0
-    #: Primitive-guard inline sites (operands and tests of the shape
-    #: ``(global-op trivial...)``).
-    prims_inlined: int = 0
-    #: Direct-lambda (``let``-shaped) bodies inlined into their caller.
-    inline_bodies: int = 0
-    #: Self-call apply sites inlined one level behind a runtime
-    #: ``closure.body is <emitted-fn>`` identity guard.
-    self_inlines: int = 0
-    #: Inlined bodies whose S25 ``capture_free`` ∧ ``spawn_free`` proof
-    #: let the emitter elide the eager ``task.env`` spill.
-    spill_elisions: int = 0
-    #: Cold fallback thunks built with the closure compiler.
-    fallback_nodes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "codegen_hits": self.hits,
-            "codegen_misses": self.misses,
-            "codegen_evictions": self.evictions,
-            "codegen_emit_us": self.emit_us,
-            "codegen_nodes": self.nodes_emitted,
-            "codegen_lambdas": self.lambdas_emitted,
-            "codegen_apps_inlined": self.apps_inlined,
-            "codegen_tests_inlined": self.tests_inlined,
-            "codegen_prims_inlined": self.prims_inlined,
-            "codegen_inline_bodies": self.inline_bodies,
-            "codegen_self_inlines": self.self_inlines,
-            "codegen_spill_elisions": self.spill_elisions,
-            "codegen_fallback_nodes": self.fallback_nodes,
-        }
 
 
 def clear_cache() -> None:
@@ -308,7 +253,6 @@ class _Emitter:
         "_fn_memo",
         "_fb_memo",
         "_in_progress",
-        "_scratch",
         "_nf",
         "_nk",
         "_nenv",
@@ -318,8 +262,8 @@ class _Emitter:
         "_self_depth",
     )
 
-    def __init__(self, stats: CodegenStats):
-        self.stats = stats
+    def __init__(self, stats: Metrics):
+        self.stats = stats  # counts into codegen.*
         self.fns: list[str] = []
         self.fn_meta: list[tuple[str, Node]] = []
         self.bindings: dict[str, Any] = {}
@@ -328,7 +272,6 @@ class _Emitter:
         self._fn_memo: dict[int, str] = {}
         self._fb_memo: dict[int, str] = {}
         self._in_progress: set[str] = set()
-        self._scratch = _ScratchStats()
         self._nf = 0
         self._nk = 0
         self._nenv = 0
@@ -366,8 +309,8 @@ class _Emitter:
         compiler (no source duplication), bound into the namespace."""
         name = self._fb_memo.get(id(node))
         if name is None:
-            self.stats.fallback_nodes += 1
-            code = compile_node(node, self._scratch)
+            self.stats["codegen.fallback_nodes"] += 1
+            code = compile_node(node)
             name = self.bind(code, w)
             self._fb_memo[id(node)] = name
             return name
@@ -456,7 +399,7 @@ class _Emitter:
                 f"codegen requires resolved IR; lambda {node.name or ''!s} "
                 "has no nslots (run repro.ir.resolve first)"
             )
-        self.stats.lambdas_emitted += 1
+        self.stats["codegen.lambdas"] += 1
         bodyf = self.emit_fn(node.body)
         self.lambda_body_fn[id(node)] = bodyf
         params = self.bind(node.params, w)
@@ -495,7 +438,7 @@ class _Emitter:
         the operator and operand values are already computed — the
         fallback threads them onward, it never re-evaluates.
         """
-        self.stats.prims_inlined += 1
+        self.stats["codegen.prims_inlined"] += 1
         k = len(node.args)
         f = self.emit_value(node.fn, env, w, ind)
         args = [self.emit_value(a, env, w, ind) for a in node.args]
@@ -519,7 +462,7 @@ class _Emitter:
     def emit_tail(self, node: Node, env: _Env, w: _Fn, ind: int) -> None:
         """Emit statements that finish the step for ``node``: every
         control path ends in ``return``."""
-        self.stats.nodes_emitted += 1
+        self.stats["codegen.nodes"] += 1
         kind = type(node)
         expr = self.emit_value(node, env, w, ind)
         if expr is not None:
@@ -661,7 +604,7 @@ class _Emitter:
         when the caller knows it (enables self-call inlining)."""
         if not done:
             return
-        self.stats.apps_inlined += 1
+        self.stats["codegen.apps_inlined"] += 1
         k = len(done) - 1
         f = done[0]
         argsx = ", ".join(done[1:])
@@ -722,9 +665,9 @@ class _Emitter:
             return
         eff = sl.effects
         proven = eff is not None and eff.capture_free and eff.spawn_free
-        self.stats.self_inlines += 1
+        self.stats["codegen.self_inlines"] += 1
         if proven:
-            self.stats.spill_elisions += 1
+            self.stats["codegen.spill_elisions"] += 1
         w.line(ind, f"if {f}.body is {bodyname}:")
         rib = self.fresh_env()
         if k:
@@ -825,9 +768,9 @@ class _Emitter:
             # see; an unproven body writes it eagerly.
             eff = fn.effects
             proven = eff is not None and eff.capture_free and eff.spawn_free
-            self.stats.inline_bodies += 1
+            self.stats["codegen.inline_bodies"] += 1
             if proven:
-                self.stats.spill_elisions += 1
+                self.stats["codegen.spill_elisions"] += 1
             self._inline_depth += 1
             if k:
                 rib = self.fresh_env()
@@ -877,7 +820,7 @@ class _Emitter:
 
             t = self.inline_prim_call(node.test, env, w, ind, emit_fb)
         if t is not None:
-            self.stats.tests_inlined += 1
+            self.stats["codegen.tests_inlined"] += 1
             saved = env.synced
             w.line(ind, f"if {t} is not False:")
             self.emit_tail(node.then, env, w, ind + 1)
@@ -1033,7 +976,7 @@ def _build_triv(
     return None
 
 
-def _emit(node: Node, stats: CodegenStats) -> tuple[_Emitter, str, str]:
+def _emit(node: Node, stats: Metrics) -> tuple[_Emitter, str, str]:
     em = _Emitter(stats)
     if (
         type(node) is DefineTop
@@ -1047,18 +990,20 @@ def _emit(node: Node, stats: CodegenStats) -> tuple[_Emitter, str, str]:
     return em, main, "\n\n".join(em.fns)
 
 
-def emitted_source(node: Node, stats: CodegenStats | None = None) -> str:
+def emitted_source(node: Node, stats: Metrics | None = None) -> str:
     """The Python source codegen emits for ``node`` (REPL ``,codegen``
     preview; no compile, exec or cache interaction)."""
-    _, _, source = _emit(node, stats if stats is not None else CodegenStats())
+    _, _, source = _emit(node, stats if stats is not None else Metrics())
     return source
 
 
-def codegen_node(node: Node, stats: CodegenStats | None = None) -> Callable:
+def codegen_node(node: Node, stats: Metrics | None = None) -> Callable:
     """Emit, compile (or fetch by ``ir-hash-v1`` digest) and
-    instantiate the code thunk for one resolved top-level node."""
+    instantiate the code thunk for one resolved top-level node;
+    ``stats`` counts into its ``codegen.*`` keys (``codegen.emit_us``
+    is the time spent here, cache hits included)."""
     if stats is None:
-        stats = CodegenStats()
+        stats = Metrics()
     t0 = perf_counter()
     try:
         em, main, source = _emit(node, stats)
@@ -1067,15 +1012,15 @@ def codegen_node(node: Node, stats: CodegenStats | None = None) -> Callable:
         if cached is not None and cached[0] == source:
             _CODE_CACHE.move_to_end(digest)
             code = cached[1]
-            stats.hits += 1
+            stats["codegen.hits"] += 1
         else:
             code = compile(source, f"<codegen:{digest[:12]}>", "exec")
             _CODE_CACHE[digest] = (source, code)
             _CODE_CACHE.move_to_end(digest)
-            stats.misses += 1
+            stats["codegen.misses"] += 1
             while len(_CODE_CACHE) > _CACHE_CAPACITY:
                 _CODE_CACHE.popitem(last=False)
-                stats.evictions += 1
+                stats["codegen.evictions"] += 1
         ns = dict(em.bindings)
         exec(code, ns)
         for fname, fnode in em.fn_meta:
@@ -1084,10 +1029,10 @@ def codegen_node(node: Node, stats: CodegenStats | None = None) -> Callable:
             fn.triv = _build_triv(fnode, em, ns)
         return ns[main]
     finally:
-        stats.emit_us += int((perf_counter() - t0) * 1_000_000)
+        stats["codegen.emit_us"] += int((perf_counter() - t0) * 1_000_000)
 
 
-def codegen_program(nodes: list[Node], stats: CodegenStats | None = None) -> list:
+def codegen_program(nodes: list[Node], stats: Metrics | None = None) -> list:
     """Emit a resolved program (a list of top-level nodes).
 
     Like :func:`repro.ir.compile.compile_program`, the input must be
@@ -1095,5 +1040,5 @@ def codegen_program(nodes: list[Node], stats: CodegenStats | None = None) -> lis
     runs on — emitted code captures global cells by identity.
     """
     if stats is None:
-        stats = CodegenStats()
+        stats = Metrics()
     return [codegen_node(node, stats) for node in nodes]

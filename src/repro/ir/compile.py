@@ -56,7 +56,6 @@ expander and resolver already impose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.datum import UNSPECIFIED
@@ -91,8 +90,9 @@ from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure
+from repro.obs.metrics import Metrics
 
-__all__ = ["Code", "CompileStats", "compile_node", "compile_program"]
+__all__ = ["Code", "compile_node", "compile_program"]
 
 #: A compiled node: ``code(machine, task)`` performs one (fused)
 #: machine transition and returns the next control registers as a
@@ -101,27 +101,6 @@ __all__ = ["Code", "CompileStats", "compile_node", "compile_program"]
 #: Attributes: ``code.triv`` (``(env) -> value`` or None), ``code.node``
 #: (the source IR node).
 Code = Callable[[Any, Task], "tuple[Any, Any] | None"]
-
-
-@dataclass
-class CompileStats:
-    """Counters accumulated across every ``compile_program`` call of an
-    interpreter (surfaced by the REPL's ``,stats``)."""
-
-    nodes_compiled: int = 0
-    lambdas_compiled: int = 0
-    #: Fully trivial applications collapsed into a single frameless step.
-    apps_inlined: int = 0
-    #: ``if`` tests folded into a direct branch jump (no ``IfFrame``).
-    tests_inlined: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "compile_nodes": self.nodes_compiled,
-            "compile_lambdas": self.lambdas_compiled,
-            "compile_apps_inlined": self.apps_inlined,
-            "compile_tests_inlined": self.tests_inlined,
-        }
 
 
 def _finish(run: Code, node: Node, triv: Callable[[Any], Any] | None) -> Code:
@@ -133,11 +112,11 @@ def _finish(run: Code, node: Node, triv: Callable[[Any], Any] | None) -> Code:
 class _Compiler:
     __slots__ = ("stats",)
 
-    def __init__(self, stats: CompileStats):
-        self.stats = stats
+    def __init__(self, stats: Metrics):
+        self.stats = stats  # counts into compile.*
 
     def compile(self, node: Node) -> Code:
-        self.stats.nodes_compiled += 1
+        self.stats["compile.nodes"] += 1
         kind = type(node)
         method = _COMPILE_DISPATCH.get(kind)
         if method is None:
@@ -220,7 +199,7 @@ class _Compiler:
                 f"closure compiler requires resolved IR; lambda {node.name or ''!s} "
                 "has no nslots (run repro.ir.resolve first)"
             )
-        self.stats.lambdas_compiled += 1
+        self.stats["compile.lambdas"] += 1
         body = self.compile(node.body)
         params, rest, name, nslots = node.params, node.rest, node.name, node.nslots
         effects = node.effects
@@ -261,7 +240,7 @@ class _Compiler:
             # captured constants, so the hot arithmetic applications
             # (``(- n 1)``, ``(< y x)``…) run without a single triv
             # closure call.
-            self.stats.apps_inlined += 1
+            self.stats["compile.apps_inlined"] += 1
             specialized = self._specialize_trivial_app(node, trivs)
             if specialized is not None:
                 return _finish(specialized, node, None)
@@ -508,7 +487,7 @@ class _Compiler:
         test_triv = test_code.triv  # type: ignore[attr-defined]
         if test_triv is not None:
             # Trivial test: decide and jump in one step, no IfFrame.
-            self.stats.tests_inlined += 1
+            self.stats["compile.tests_inlined"] += 1
 
             def run(machine: Any, task: Task) -> Any:
                 if test_triv(task.env) is not False:
@@ -634,14 +613,12 @@ _COMPILE_DISPATCH: dict[type, Callable[[_Compiler, Any], Code]] = {
 }
 
 
-def compile_node(node: Node, stats: CompileStats | None = None) -> Code:
+def compile_node(node: Node, stats: Metrics | None = None) -> Code:
     """Compile one resolved top-level node to a code thunk."""
-    return _Compiler(stats if stats is not None else CompileStats()).compile(node)
+    return _Compiler(stats if stats is not None else Metrics()).compile(node)
 
 
-def compile_program(
-    nodes: list[Node], stats: CompileStats | None = None
-) -> list[Code]:
+def compile_program(nodes: list[Node], stats: Metrics | None = None) -> list[Code]:
     """Compile a resolved program (a list of top-level nodes).
 
     The input must be the resolver's dialect (``LocalRef``/``GlobalRef``
@@ -649,9 +626,10 @@ def compile_program(
     :class:`~repro.errors.CompileError`.  Compiled code captures global
     cells by identity, so — exactly like :func:`repro.ir.resolve.
     resolve_program` — run the output on a machine over the *same*
-    ``GlobalEnv`` the resolver interned into.
+    ``GlobalEnv`` the resolver interned into.  ``stats`` counts into
+    its ``compile.*`` keys: ``compile.apps_inlined`` counts fully
+    trivial applications collapsed into one frameless step,
+    ``compile.tests_inlined`` ``if`` tests folded into a direct branch.
     """
-    if stats is None:
-        stats = CompileStats()
-    compiler = _Compiler(stats)
+    compiler = _Compiler(stats if stats is not None else Metrics())
     return [compiler.compile(node) for node in nodes]

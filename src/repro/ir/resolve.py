@@ -35,7 +35,6 @@ passes any pre-existing ``effects`` through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.datum import Symbol
@@ -55,31 +54,12 @@ from repro.ir.nodes import (
     SetBang,
     Var,
 )
+from repro.obs.metrics import Metrics
+
 if TYPE_CHECKING:  # pragma: no cover - avoids an ir <-> machine cycle
     from repro.machine.environment import GlobalEnv
 
-__all__ = ["ResolverStats", "resolve_program", "resolve_node"]
-
-
-@dataclass
-class ResolverStats:
-    """Counters accumulated across every ``resolve_program`` call of an
-    interpreter (surfaced by the REPL's ``,stats``)."""
-
-    locals_resolved: int = 0
-    globals_resolved: int = 0
-    lambdas_resolved: int = 0
-    cells_interned: int = 0
-    cell_cache_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "resolver_locals": self.locals_resolved,
-            "resolver_globals": self.globals_resolved,
-            "resolver_lambdas": self.lambdas_resolved,
-            "resolver_cells_interned": self.cells_interned,
-            "resolver_cell_cache_hits": self.cell_cache_hits,
-        }
+__all__ = ["resolve_program", "resolve_node"]
 
 
 class _Resolver:
@@ -88,9 +68,9 @@ class _Resolver:
 
     __slots__ = ("globals", "stats", "scope")
 
-    def __init__(self, globals_: "GlobalEnv", stats: ResolverStats):
+    def __init__(self, globals_: "GlobalEnv", stats: Metrics):
         self.globals = globals_
-        self.stats = stats
+        self.stats = stats  # counts into resolver.*
         self.scope: list[dict[Symbol, int]] = []
 
     # -- name resolution ---------------------------------------------------
@@ -106,9 +86,9 @@ class _Resolver:
 
     def _global_cell(self, name: Symbol):
         if name in self.globals.cells:
-            self.stats.cell_cache_hits += 1
+            self.stats["resolver.cell_cache_hits"] += 1
         else:
-            self.stats.cells_interned += 1
+            self.stats["resolver.cells_interned"] += 1
         return self.globals.cell(name)
 
     # -- the walk ----------------------------------------------------------
@@ -120,9 +100,9 @@ class _Resolver:
         if kind is Var:
             address = self._local_address(node.name)
             if address is not None:
-                self.stats.locals_resolved += 1
+                self.stats["resolver.locals"] += 1
                 return LocalRef(address[0], address[1], node.name)
-            self.stats.globals_resolved += 1
+            self.stats["resolver.globals"] += 1
             return GlobalRef(self._global_cell(node.name))
         if kind is Lambda:
             return self._resolve_lambda(node)
@@ -140,9 +120,9 @@ class _Resolver:
             expr = self.resolve(node.expr)
             address = self._local_address(node.name)
             if address is not None:
-                self.stats.locals_resolved += 1
+                self.stats["resolver.locals"] += 1
                 return LocalSet(address[0], address[1], expr, node.name)
-            self.stats.globals_resolved += 1
+            self.stats["resolver.globals"] += 1
             return GlobalSet(self._global_cell(node.name), expr)
         if kind is Seq:
             return Seq(tuple(self.resolve(e) for e in node.exprs))
@@ -157,7 +137,7 @@ class _Resolver:
         raise TypeError(f"resolver: unknown IR node: {node!r}")
 
     def _resolve_lambda(self, node: Lambda) -> Lambda:
-        self.stats.lambdas_resolved += 1
+        self.stats["resolver.lambdas"] += 1
         nslots = len(node.params) + (1 if node.rest is not None else 0)
         if nslots == 0:
             # A thunk allocates no rib, so it contributes no depth.
@@ -174,25 +154,20 @@ class _Resolver:
         return Lambda(node.params, node.rest, body, node.name, nslots, node.effects)
 
 
-def resolve_node(
-    node: Node, globals_: "GlobalEnv", stats: ResolverStats | None = None
-) -> Node:
+def resolve_node(node: Node, globals_: "GlobalEnv", stats: Metrics | None = None) -> Node:
     """Resolve one top-level node (see :func:`resolve_program`)."""
-    return _Resolver(globals_, stats if stats is not None else ResolverStats()).resolve(
-        node
-    )
+    return _Resolver(globals_, stats if stats is not None else Metrics()).resolve(node)
 
 
 def resolve_program(
-    nodes: list[Node], globals_: "GlobalEnv", stats: ResolverStats | None = None
+    nodes: list[Node], globals_: "GlobalEnv", stats: Metrics | None = None
 ) -> list[Node]:
     """Resolve a whole program (a list of top-level nodes).
 
     Cells are interned into ``globals_`` as a side effect; running the
     resolved IR on a machine over a *different* GlobalEnv would read
     the wrong store, so resolve against the machine's own globals.
+    ``stats`` counts into its ``resolver.*`` keys.
     """
-    if stats is None:
-        stats = ResolverStats()
-    resolver = _Resolver(globals_, stats)
+    resolver = _Resolver(globals_, stats if stats is not None else Metrics())
     return [resolver.resolve(node) for node in nodes]

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 from repro.errors import DeadlineExceeded, MachineError, StepBudgetExceeded
 from repro.ir import Node
 from repro.machine.environment import Environment, GlobalEnv
-from repro.machine.links import HaltLink, Join, Label, LabelLink
+from repro.machine.links import HaltLink, Join, Label, LabelLink, PromptLabel
 from repro.machine.step import run_quantum, run_quantum_compiled
 from repro.machine.task import EVAL, Task, TaskState
 from repro.obs.recorder import Recorder
@@ -225,19 +225,24 @@ class Machine:
         self.stats["forks"] += 1
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("fork", f"join {id(join) & 0xFFFF:04x}", step=self.steps_total)
+            detail = f"join {id(join) & 0xFFFF:04x}: {len(join.slots)} branches"
+            rec.emit("fork", detail, step=self.steps_total)
 
     def notify_label_pop(self, link: LabelLink) -> None:
+        """A process returned through its label; a ``prompt`` label
+        pops as ``prompt-pop``."""
         self.stats["label_pops"] += 1
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("label-pop", str(link.label), step=self.steps_total)
+            kind = "prompt-pop" if isinstance(link.label, PromptLabel) else "label-pop"
+            rec.emit(kind, link.label.name, step=self.steps_total)
 
     def notify_join_fire(self, join: Join) -> None:
         self.stats["join_fires"] += 1
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("join-fire", f"join {id(join) & 0xFFFF:04x}", step=self.steps_total)
+            detail = f"join {id(join) & 0xFFFF:04x}: {len(join.slots)} values"
+            rec.emit("join-fire", detail, step=self.steps_total)
 
     def notify_capture(self, task: Task, kind: str = "") -> None:
         """A continuation (subtree or whole-tree) was captured by

@@ -1,28 +1,36 @@
-"""Structured execution tracing.
+"""Structured execution tracing: a filtered view over the recorder.
 
-:class:`Tracer` records the control-relevant events of a run — forks,
-joins firing, spawns, label pops, captures, reinstatements, task
-lifecycle — as typed records, and renders them as a readable timeline.
-It exists for three consumers: debugging control operators, the
-teaching examples, and tests that assert on *event sequences* rather
-than just final values.
+:class:`Tracer` shows the control-relevant events of a run — forks,
+joins firing, label and prompt pops, captures, reinstatements and,
+optionally, task switches — as typed records, and renders them as a
+readable timeline.  It exists for three consumers: debugging control
+operators, the teaching examples, and tests that assert on *event
+sequences* rather than just final values.
 
-Every event comes from one of the machine's notify points
-(``notify_fork`` / ``notify_label_pop`` / ``notify_join_fire`` /
-``notify_capture`` / ``notify_reinstate``), which all three engines
-call from shared code at the moment the operation happens.  That makes
-counted == emitted an invariant: exactly one event per unit of the
-corresponding stats counter, regardless of engine, quantum, or whether
-the evaluation aborts mid-quantum.  (The seed implementation instead
-*sniffed* the capture/reinstate counters from a per-step trace hook and
-emitted at most one event per hook interval — events were lost whenever
-no further step ran after the counter bump, e.g. a step-budget abort
-right after a capture, and were attributed to whichever task happened
-to run next.)
+There is one event stream, the machine's
+:class:`~repro.obs.recorder.Recorder`.  Every control event comes from
+one of the machine's notify points (``notify_fork`` /
+``notify_label_pop`` / ``notify_join_fire`` / ``notify_capture`` /
+``notify_reinstate``), which all three engines call from shared code
+and which count the event and emit it in the same place — so counted ==
+emitted, whatever the engine, the quantum, or an abort mid-quantum.
+A tracer only marks a window of that stream:
 
-The per-step trace hook is now only installed when task-switch events
-are requested (``record_switches=True``); a plain trace leaves the
-batched run loops un-spilled.
+* a machine with an enabled recorder keeps it, and the recorder keeps
+  receiving every event while the tracer is active (the tracer reads
+  its window; on a recorder shared by several machines the window
+  holds all of their control events);
+* a machine without one gets a private recorder for the ``with``
+  block, detached again on exit.
+
+The recorder is a bounded ring.  If events of the window were evicted
+(or the recorder was cleared) before they are read, :attr:`Tracer.events`
+raises instead of returning a truncated list; attach a recorder with a
+larger ``capacity`` to the machine for long traces.
+
+With ``record_switches=True`` a per-step trace hook emits a
+``task-switch`` event into the recorder whenever the running task
+changes; only then do the batched run loops spill per step.
 
 Usage::
 
@@ -33,7 +41,7 @@ Usage::
     tracer.events_of_kind("capture")   # -> [TraceEvent(...)]
 
 A tracer instance may be reused: each ``with`` block starts a fresh
-event list.  Nested entry of the *same* instance is a bug and raises.
+window.  Nested entry of the *same* instance is a bug and raises.
 """
 
 from __future__ import annotations
@@ -41,13 +49,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.machine.links import Join, LabelLink, PromptLabel
 from repro.machine.task import Task
+from repro.obs.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.scheduler import Machine
 
 __all__ = ["TraceEvent", "Tracer"]
+
+#: The recorder event names a tracer shows.
+_CONTROL_KINDS = frozenset(
+    ("fork", "join-fire", "label-pop", "prompt-pop", "capture", "reinstate", "task-switch")
+)
 
 
 @dataclass(frozen=True)
@@ -55,27 +68,20 @@ class TraceEvent:
     """One recorded event."""
 
     step: int
-    kind: str  # fork | join-fire | spawn | label-pop | prompt-pop |
-    #            capture | reinstate | task-switch
+    kind: str  # one of _CONTROL_KINDS
     detail: str
 
 
 class Tracer:
-    """Hooks a machine's notification points and records events.
-
-    The machine calls ``notify_fork`` / ``notify_label_pop`` /
-    ``notify_join_fire`` / ``notify_capture`` / ``notify_reinstate``
-    for every control operation; the tracer wraps all five (and, when
-    ``record_switches=True``, the per-step trace hook), restoring
-    everything on exit.
-    """
+    """A window over a machine's recorder, filtered to control events."""
 
     def __init__(self, machine: "Machine", record_switches: bool = False):
         self.machine = machine
         self.record_switches = record_switches
-        self.events: list[TraceEvent] = []
-        self._saved: dict[str, Any] = {}
-        self._last_task_uid: int | None = None
+        self.recorder: Recorder | None = None
+        self._start = 0
+        self._end: int | None = 0
+        self._saved: tuple[Any, Any] = (None, None)
         self._entered = False
 
     # -- context manager -----------------------------------------------------
@@ -87,77 +93,59 @@ class Tracer:
                 "(sequential reuse across separate `with` blocks is fine)"
             )
         self._entered = True
-        # Fresh per-run state: reusing one instance must not interleave
-        # a previous run's events or task-switch cursor with this run.
-        self.events = []
-        self._last_task_uid = None
         machine = self.machine
-        self._saved = {
-            "notify_fork": machine.notify_fork,
-            "notify_label_pop": machine.notify_label_pop,
-            "notify_join_fire": machine.notify_join_fire,
-            "notify_capture": machine.notify_capture,
-            "notify_reinstate": machine.notify_reinstate,
-            "trace_hook": machine.trace_hook,
-        }
-
-        def on_fork(join: Join) -> None:
-            self._saved["notify_fork"](join)
-            self._emit("fork", f"{len(join.slots)} branches")
-
-        def on_label_pop(link: LabelLink) -> None:
-            self._saved["notify_label_pop"](link)
-            kind = "prompt-pop" if isinstance(link.label, PromptLabel) else "label-pop"
-            self._emit(kind, link.label.name)
-
-        def on_join_fire(join: Join) -> None:
-            self._saved["notify_join_fire"](join)
-            self._emit("join-fire", f"{len(join.slots)} values")
-
-        def on_capture(task: Task, kind: str = "") -> None:
-            self._saved["notify_capture"](task, kind)
-            self._emit("capture", f"by task {task.uid}")
-
-        def on_reinstate(task: Task, kind: str = "") -> None:
-            self._saved["notify_reinstate"](task, kind)
-            self._emit("reinstate", f"by task {task.uid}")
-
-        machine.notify_fork = on_fork  # type: ignore[method-assign]
-        machine.notify_label_pop = on_label_pop  # type: ignore[method-assign]
-        machine.notify_join_fire = on_join_fire  # type: ignore[method-assign]
-        machine.notify_capture = on_capture  # type: ignore[method-assign]
-        machine.notify_reinstate = on_reinstate  # type: ignore[method-assign]
-
+        self._saved = (machine.recorder, machine.trace_hook)
+        rec = machine.recorder
+        if rec is None or not rec.enabled:
+            rec = machine.recorder = Recorder()
+        self.recorder = rec
+        self._start = rec.appended
+        self._end = None
         if self.record_switches:
-            # Task-switch detection genuinely needs to see every step;
-            # only then do we pay for per-step spills in the batched
-            # run loops.
+            previous = machine.trace_hook
+            last_uid: list[int | None] = [None]
+
             def hook(machine_: "Machine", task: Task) -> None:
-                previous = self._saved["trace_hook"]
                 if previous is not None:
                     previous(machine_, task)
-                if task.uid != self._last_task_uid:
-                    self._last_task_uid = task.uid
-                    self._emit("task-switch", f"-> task {task.uid}")
+                if task.uid != last_uid[0]:
+                    last_uid[0] = task.uid
+                    rec.emit("task-switch", f"-> task {task.uid}", step=machine_.steps_total)
 
             machine.trace_hook = hook
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        machine = self.machine
-        machine.notify_fork = self._saved["notify_fork"]  # type: ignore[method-assign]
-        machine.notify_label_pop = self._saved["notify_label_pop"]  # type: ignore[method-assign]
-        machine.notify_join_fire = self._saved["notify_join_fire"]  # type: ignore[method-assign]
-        machine.notify_capture = self._saved["notify_capture"]  # type: ignore[method-assign]
-        machine.notify_reinstate = self._saved["notify_reinstate"]  # type: ignore[method-assign]
-        if self.record_switches:
-            machine.trace_hook = self._saved["trace_hook"]
+        assert self.recorder is not None
+        self._end = self.recorder.appended
+        self.machine.recorder, self.machine.trace_hook = self._saved
         self._entered = False
 
-    # -- recording and queries -------------------------------------------------
+    # -- queries -------------------------------------------------------------
 
-    def _emit(self, kind: str, detail: str) -> None:
-        self.events.append(TraceEvent(self.machine.steps_total, kind, detail))
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The window's control events, oldest first.  Raises
+        :class:`RuntimeError` if any event of the window is gone from
+        the recorder's ring."""
+        rec = self.recorder
+        if rec is None:
+            return []
+        end = rec.appended if self._end is None else self._end
+        ring = rec.events
+        first = rec.appended - len(ring)  # number of the oldest held event
+        lost = min(end, first) - self._start
+        if lost > 0:
+            raise RuntimeError(
+                f"trace window truncated: {lost} of its {end - self._start} "
+                f"recorder events were evicted or cleared (ring capacity "
+                f"{rec.capacity}); attach a larger Recorder to the machine"
+            )
+        return [
+            TraceEvent(e.step, e.name, e.detail)
+            for e in ring[self._start - first : end - first]
+            if e.phase == "i" and e.name in _CONTROL_KINDS
+        ]
 
     def events_of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]

@@ -7,10 +7,10 @@ increment — cheap enough to leave on unconditionally in the host's
 serving path — and quantiles come back as bucket upper bounds, which is
 the right fidelity for "p99 latency is under 2^k µs" style gates.
 
-Used by :class:`~repro.host.metrics.SessionMetrics` (per-request
-latency in µs, per-request steps) and
-:class:`~repro.host.metrics.HostMetrics` (per-tick duration and steps),
-and surfaced into ``BENCH_results.json`` by the benchmark drivers.
+Held by name in each owner's :class:`~repro.obs.metrics.Metrics`
+record (per-request latency in µs and steps, per-tick duration and
+steps, snapshot sizes, ...) and surfaced into ``BENCH_results.json`` by
+the benchmark drivers.
 """
 
 from __future__ import annotations

@@ -117,6 +117,11 @@ class Recorder:
         self.enabled = enabled
         self.clock = perf_counter
         self.dropped = 0
+        # Events ever appended (never reset): the ring holds numbers
+        # ``appended - len(ring)`` up to ``appended - 1``, so a view
+        # over a window of them (machine.trace.Tracer) can tell when
+        # part of its window was evicted or cleared.
+        self.appended = 0
         self._ring: deque[ObsEvent] = deque(maxlen=self.capacity)
         self._span_ids = itertools.count(1)
         self._stack: list[int] = []  # open span ids, innermost last
@@ -130,6 +135,7 @@ class Recorder:
         if len(ring) == self.capacity:
             self.dropped += 1
         ring.append(event)
+        self.appended += 1
 
     def emit(self, name: str, detail: str = "", step: int = 0) -> None:
         """Record an instant event under the innermost open span."""

@@ -25,7 +25,8 @@ Layout of a blob (all integers LEB128 varints; see
               recompiles, one ``compile_node`` per distinct hash, so
               closures that shared a body keep sharing one
     roots     the session record: machine, macro table, output buffer,
-              stats, metrics, pending/active handles
+              the stats record (counters and histograms by name),
+              pending/active handles
 
 Identity and sharing are exact: every mutable object (pairs, vectors,
 ribs, cells, tasks, links, frames by chain) is a table entry referenced
@@ -46,7 +47,6 @@ state — snapshotting from inside :meth:`Session.pump` raises
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from fractions import Fraction
 from time import monotonic as _monotonic
@@ -65,8 +65,6 @@ from repro.expander.syntax_rules import Macro, Rule
 from repro.host.handle import EvalHandle, HandleState
 from repro.host.session import Session
 from repro.ir import codegen_node, compile_node, stable_hash
-from repro.ir.codegen import CodegenStats
-from repro.ir.compile import CompileStats
 from repro.ir.nodes import (
     App,
     Const,
@@ -107,6 +105,7 @@ from repro.machine.task import APPLY, EVAL, HOLE, VALUE, Task, TaskState
 from repro.machine.tree import Capture
 from repro.machine.values import Closure, ControlPrimitive, Primitive
 from repro.obs.histogram import Histogram
+from repro.obs.metrics import Metrics
 from repro.snapshot.wire import Reader, Writer
 
 __all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
@@ -114,14 +113,17 @@ __all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
 MAGIC = b"RSNP"
 #: Bump on any wire-format change; restore refuses other versions.
 #: v2: capture/effect analysis — Lambda/Closure effects bitmasks, the
-#: handle classification, AnalysisStats roots, the analysis header flag
+#: handle classification, the analysis stats root, the analysis header flag
 #: and the three submits_* session counters.
-#: v3: codegen engine — the CodegenStats root tuple (written for every
+#: v3: codegen engine — the codegen stats root tuple (written for every
 #: engine, zeros when codegen never ran).
 #: v4: the header flags lose ``batched`` and the machine record loses
 #: ``engine``, ``batched`` and ``fold``; the restored machine runs the
 #: header's engine (or the ``restore(engine=)`` override).
-FORMAT_VERSION = 4
+#: v5: the session's stats are one name-keyed record (counters and
+#: histograms by their ``stats`` names) instead of five positional
+#: tuples.
+FORMAT_VERSION = 5
 
 # -- value tags (the self-describing scalar/reference layer) -------------
 
@@ -511,33 +513,14 @@ class _Encoder:
         wv(w, [(name, macro) for name, macro in session.expand_env.macros.items()])
         wv(w, sorted(session._loaded_examples))
         wv(w, list(session.output.parts))
-        rs = session.resolver_stats
+        # The stats record by name; zero counters are left out (the
+        # restoring session's record starts at zero).
+        metrics = session.metrics
         wv(
             w,
             (
-                rs.locals_resolved,
-                rs.globals_resolved,
-                rs.lambdas_resolved,
-                rs.cells_interned,
-                rs.cell_cache_hits,
-            ),
-        )
-        cs = session.compile_stats
-        wv(
-            w,
-            (cs.nodes_compiled, cs.lambdas_compiled, cs.apps_inlined, cs.tests_inlined),
-        )
-        gs = session.codegen_stats
-        wv(w, tuple(getattr(gs, f.name) for f in dataclasses.fields(gs)))
-        ast = session.analysis_stats
-        wv(w, tuple(getattr(ast, name) for name in ast._FIELDS))
-        m = session.metrics
-        wv(
-            w,
-            (
-                tuple(getattr(m, c) for c in m._COUNTERS),
-                _hist_tuple(m.latency_us),
-                _hist_tuple(m.steps_hist),
+                [(name, value) for name, value in metrics.items() if value],
+                [(name, _hist_tuple(h)) for name, h in metrics.hists.items()],
             ),
         )
         wv(w, list(session._pending))
@@ -846,8 +829,7 @@ class _Decoder:
         self.objects: list[Any] = []
         self.nodes: list[Any] = []
         self.code_cache: dict[str, Any] = {}
-        self.scratch_compile_stats = CompileStats()
-        self.scratch_codegen_stats = CodegenStats()
+        self.scratch_stats = Metrics()  # restore recompiles count nowhere
         self.now = _monotonic()
         self.session: Session | None = None
         self.globals = None
@@ -977,9 +959,9 @@ class _Decoder:
             # resolved IR (its loop walks LocalRef/GlobalRef nodes, so
             # a restored closure's resolved body runs there too).
             if self.engine == "codegen":
-                thunk = codegen_node(node, self.scratch_codegen_stats)
+                thunk = codegen_node(node, self.scratch_stats)
             elif self.engine == "compiled":
-                thunk = compile_node(node, self.scratch_compile_stats)
+                thunk = compile_node(node, self.scratch_stats)
             else:
                 thunk = node
             self.code_cache[digest] = thunk
@@ -1069,11 +1051,7 @@ class _Decoder:
         macros = rv(r)
         loaded = rv(r)
         parts = rv(r)
-        resolver = rv(r)
-        compile_counts = rv(r)
-        codegen_counts = rv(r)
-        analysis_counts = rv(r)
-        metrics = rv(r)
+        counters, hists = rv(r)
         pending = rv(r)
         active = rv(r)
 
@@ -1083,33 +1061,9 @@ class _Decoder:
         for macro_name, macro in macros:
             session.expand_env.macros[macro_name] = macro
         session._loaded_examples = set(loaded)
-        rs = session.resolver_stats
-        (
-            rs.locals_resolved,
-            rs.globals_resolved,
-            rs.lambdas_resolved,
-            rs.cells_interned,
-            rs.cell_cache_hits,
-        ) = resolver
-        cs = session.compile_stats
-        (
-            cs.nodes_compiled,
-            cs.lambdas_compiled,
-            cs.apps_inlined,
-            cs.tests_inlined,
-        ) = compile_counts
-        gs = session.codegen_stats
-        for field, value in zip(dataclasses.fields(gs), codegen_counts):
-            setattr(gs, field.name, value)
-        ast = session.analysis_stats
-        for field, value in zip(ast._FIELDS, analysis_counts):
-            setattr(ast, field, value)
-        counters, latency, steps_hist = metrics
-        m = session.metrics
-        for field, value in zip(m._COUNTERS, counters):
-            setattr(m, field, value)
-        _fill_hist(m.latency_us, latency)
-        _fill_hist(m.steps_hist, steps_hist)
+        session.metrics.update(counters)
+        for hist_name, data in hists:
+            _fill_hist(session.metrics.hists.setdefault(hist_name, Histogram()), data)
         session._pending = deque(pending)
         session._active = active
         for handle in session._pending:

@@ -16,10 +16,11 @@ Three layers of coverage:
 import pytest
 
 from repro import EffectInfo, Interpreter, analyze
-from repro.analysis import AnalysisStats, annotate_program, single_task_form
+from repro.analysis import annotate_program, single_task_form
 from repro.analysis.effects import GRANT_QUANTUM
 from repro.host.host import Host
 from repro.host.session import Session
+from repro.obs import Metrics
 from repro.lib import paper_examples
 from repro.machine.scheduler import ENGINES
 from repro.snapshot import restore_session, snapshot_session
@@ -179,11 +180,11 @@ def test_program_classification_is_worst_form():
 def test_annotate_stamps_lambdas_and_counts():
     sess = Session()
     nodes = _resolved_forms(sess, "(define (sq x) (* x x)) (sq 3)")
-    stats = AnalysisStats()
+    stats = Metrics()
     report = annotate_program(nodes, sess.globals, stats)
-    assert stats.forms == 2
-    assert stats.lambdas == report.lambdas >= 1
-    assert stats.capture_free >= 1
+    assert stats["analysis.forms"] == 2
+    assert stats["analysis.lambdas"] == report.lambdas >= 1
+    assert stats["analysis.capture_free"] >= 1
     # The define's lambda carries interned facts.
     lam = nodes[0].expr
     assert lam.effects is EffectInfo(True, True, True, True)
@@ -282,16 +283,16 @@ def test_validator_follows_current_cell_values():
 
 def test_pure_form_gets_grant_and_it_never_persists():
     sess = Session(engine="compiled", quantum=16)
-    before = sess.analysis_stats.grants
+    before = sess.metrics["analysis.grants"]
     sess.run(FIB)
-    assert sess.analysis_stats.grants > before
+    assert sess.metrics["analysis.grants"] > before
     assert sess.machine.quantum_grant is None  # cleared at form end
 
 
 def test_no_grants_with_analysis_off():
     sess = Session(engine="compiled", quantum=16, analysis=False)
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.metrics["analysis.grants"] == 0
 
 
 def test_no_grants_under_random_policy():
@@ -300,13 +301,13 @@ def test_no_grants_under_random_policy():
     # seeded schedule of later racy forms.  FIFO only.
     sess = Session(engine="compiled", quantum=16, policy="random", seed=3)
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.metrics["analysis.grants"] == 0
 
 
 def test_no_grants_when_quantum_already_large():
     sess = Session(engine="compiled", quantum=GRANT_QUANTUM)
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.metrics["analysis.grants"] == 0
 
 
 def test_codegen_engine_gets_grants():
@@ -317,7 +318,7 @@ def test_codegen_engine_gets_grants():
     compiled.run(FIB)
     codegen = Session(engine="codegen", quantum=16)
     codegen.run(FIB)
-    assert codegen.analysis_stats.grants == compiled.analysis_stats.grants > 0
+    assert codegen.metrics["analysis.grants"] == compiled.metrics["analysis.grants"] > 0
     assert codegen.machine.quantum_grant is None  # cleared at form end
 
 
@@ -329,14 +330,14 @@ def test_no_grants_under_random_policy_any_engine(engine):
     # any engine added after the gate was written.
     sess = Session(engine=engine, quantum=16, policy="random", seed=3)
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.metrics["analysis.grants"] == 0
 
 
 def test_dict_engine_ignores_analysis():
     sess = Session(engine="dict")
     assert sess.analysis is False
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.metrics["analysis.grants"] == 0
     assert not any(k.startswith("analysis") for k in sess.stats)
 
 
@@ -367,8 +368,12 @@ def test_submit_tags_handles():
     assert heavy.classification == "capture-heavy"
     assert spawning.classification == "spawning"
     assert pure.report is not None
-    m = sess.metrics
-    assert (m.submits_pure, m.submits_capture_heavy, m.submits_spawning) == (1, 1, 1)
+    stats = sess.stats
+    assert (
+        stats["session.submits_pure"],
+        stats["session.submits_capture_heavy"],
+        stats["session.submits_spawning"],
+    ) == (1, 1, 1)
 
 
 def test_backlog_classification_is_worst_pending():
@@ -391,7 +396,7 @@ def test_host_class_weights_budget_differently():
     b.submit("(pcall + (+ 1 2) (+ 3 4))")
     host.run_until_idle(max_ticks=200)
     assert a.idle and b.idle
-    assert a.metrics.steps_served > 0 and b.metrics.steps_served > 0
+    assert a.metrics["session.steps_served"] > 0 and b.metrics["session.steps_served"] > 0
 
 
 def test_host_without_weights_unchanged():
@@ -413,10 +418,9 @@ def test_effects_and_analysis_state_survive_snapshot():
     blob = snapshot_session(sess)
     restored = restore_session(blob)
     assert restored.analysis is True
-    for name in AnalysisStats._FIELDS:
-        assert getattr(restored.analysis_stats, name) == getattr(
-            sess.analysis_stats, name
-        )
+    analysis = {k: v for k, v in sess.stats.items() if k.startswith("analysis.")}
+    assert len(analysis) == 8
+    assert {k: restored.stats[k] for k in analysis} == analysis
     from repro.datum import intern
 
     closure = restored.globals.cells[intern("sq")].value

@@ -57,8 +57,8 @@ def test_inline_evict_and_rehydrate():
         assert c.evict("s") is False  # already out
         r = c.submit("s", "(* x 6)")  # rehydrated from the store
         assert r.value == "42"
-        assert c.metrics.restores >= 1
-        assert c.metrics.evictions == 1
+        assert c.metrics["cluster.restores"] >= 1
+        assert c.metrics["cluster.evictions"] == 1
 
 
 def test_inline_store_roundtrip_through_directory(tmp_path):
@@ -140,7 +140,7 @@ def test_mp_migration(mp_cluster):
     after = c.submit("mover", "(* x 5)")
     assert after.value == "50"
     assert after.shard == target
-    assert c.metrics.migrations == 1
+    assert c.metrics["cluster.migrations"] == 1
     assert c.stats["cluster.restores"] >= 1
 
 
@@ -156,8 +156,8 @@ def test_mp_sigkill_recovery(mp_cluster):
     assert after.ok
     assert after.value == "777"
     assert after.recovered is True
-    assert c.metrics.recoveries == 1
-    assert c.metrics.respawns == 1
+    assert c.metrics["cluster.recoveries"] == 1
+    assert c.metrics["cluster.respawns"] == 1
 
 
 def test_mp_sigkill_without_snapshot_raises():

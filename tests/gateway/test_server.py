@@ -4,11 +4,12 @@ and Cluster backends, streaming, budgets over the wire, and obs."""
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.errors import GatewayRequestError
+from repro.errors import GatewayClosed, GatewayRequestError
 from repro.gateway import Gateway, GatewayClient, GatewayLimits
 from repro.host import Host
 from repro.obs import Recorder
@@ -378,9 +379,34 @@ def test_tenant_rides_through_to_the_backend_handle():
         # The session's handle carried the tenant label.
         # (The handle is gone from the gateway registry; check metrics
         # instead: the submit was admitted under the tenant.)
-        assert host["s"].metrics.submits == 1
+        assert host["s"].metrics["session.submits"] == 1
 
     run(main())
+
+
+def test_close_with_a_client_still_connected_logs_no_error(caplog):
+    """close() drops open connections and awaits their handlers: none
+    is left for loop teardown to cancel (asyncio logs a cancelled
+    stream handler at ERROR), and a blocked `result` wait ends too."""
+
+    async def main():
+        gw = await Gateway(Host()).start()
+        client = await GatewayClient.connect(gw.host, gw.port)
+        assert await client.eval("s", "(+ 1 2)") == "3"
+        rid = await client.submit("s", LOOP)
+        waiting = asyncio.ensure_future(client.result(rid))
+        await asyncio.sleep(0.05)
+        await gw.close()
+        stats = gw.stats
+        with pytest.raises(GatewayClosed):
+            await asyncio.wait_for(waiting, 10)
+        return stats  # the client is never closed: it sees EOF
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        stats = run(main())
+    assert stats["gateway.disconnects"] == stats["gateway.connections"] == 1
+    errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert errors == []
 
 
 def test_gateway_restart_not_allowed():

@@ -48,11 +48,11 @@ def test_fault_metrics_account_all_requests():
         while not s.idle:
             s.pump(512)
     # One failed active + two cancelled queued.
-    assert s.metrics.evals_failed == 3
-    assert s.metrics.cancellations == 2
+    assert s.metrics["session.evals_failed"] == 3
+    assert s.metrics["session.cancellations"] == 2
     # Every request reached a terminal state, so every request is in
     # the latency histogram.
-    assert s.metrics.latency_us.count == 3
+    assert s.metrics.hists["session.latency_us"].count == 3
 
 
 def test_host_faults_once_not_every_tick():
@@ -63,7 +63,7 @@ def test_host_faults_once_not_every_tick():
     host.submit(healthy, "(+ 20 22)")
     for _ in range(10):
         host.tick()
-    assert host.metrics.session_faults == 1, (
+    assert host.metrics["host.session_faults"] == 1, (
         "a dead session with a drained queue must not re-fault on "
         "every tick"
     )

@@ -83,7 +83,7 @@ def test_eight_sessions_complete_with_correct_results(engine, policy):
     assert ticks < 10_000, "host did not drain"
     for name, want in expected.items():
         assert handles[name].result() == want, name
-        assert host[name].metrics.evals_failed == 0, name
+        assert host[name].metrics["session.evals_failed"] == 0, name
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -132,7 +132,7 @@ def test_deficit_lets_backlogged_session_catch_up():
     assert h_busy.result() == 3000
     assert h_late.result() == 3000
     # The late session was never starved below the busy one's rate:
-    assert late.metrics.steps_served > 0
+    assert late.metrics["session.steps_served"] > 0
 
 
 def test_sessions_survive_sibling_failure():
@@ -154,7 +154,7 @@ def test_lifetime_exhaustion_is_contained_as_session_fault():
     h_good = host.submit(good, _spin(2000))
     host.run_until_idle(max_ticks=10_000)
     assert isinstance(h_doomed.exception(), StepBudgetExceeded)
-    assert host.metrics.session_faults >= 1
+    assert host.metrics["host.session_faults"] >= 1
     assert h_good.result() == 2000
 
 
@@ -195,7 +195,7 @@ def test_host_wide_saturation():
     host.submit(b, "(+ 2 2)")
     with pytest.raises(HostSaturated):
         host.submit(a, "(+ 3 3)")
-    assert host.metrics.saturations == 1
+    assert host.metrics["host.saturations"] == 1
     host.run_until_idle(max_ticks=1000)
     host.submit(a, "(+ 3 3)")  # capacity restored after draining
 
@@ -206,8 +206,8 @@ def test_per_session_saturation_counted_by_host():
     host.submit(a, "(+ 1 1)")
     with pytest.raises(HostSaturated):
         host.submit(a, "(+ 2 2)")
-    assert host.metrics.saturations == 1
-    assert a.metrics.saturations == 1
+    assert host.metrics["host.saturations"] == 1
+    assert a.metrics["session.saturations"] == 1
 
 
 # -- the differential matrix ----------------------------------------------
@@ -260,7 +260,24 @@ def test_host_stats_rollup():
     assert stats["host.sessions"] == 1
     assert stats["host.submits"] == 1
     assert stats["host.sessions.evals_completed"] == 1
-    assert stats["host.steps_served"] == a.metrics.steps_served
+    assert stats["host.steps_served"] == a.metrics["session.steps_served"]
+
+
+def test_host_rollup_keeps_high_water_mark_a_max():
+    """Counters sum across sessions, but a high-water mark is the
+    largest session's: two sessions that each peaked at depth 3 peak
+    at 3, not 6."""
+    host = Host(quantum=100)
+    for name in ("a", "b"):
+        session = host.session(name, prelude=False)
+        for k in range(3):
+            host.submit(session, f"(+ {k} 1)")
+    host.run_until_idle(max_ticks=100)
+    stats = host.stats
+    assert [s.stats["session.max_queue_depth"] for s in host] == [3, 3]
+    assert stats["host.sessions.max_queue_depth"] == 3
+    assert stats["host.sessions.submits"] == 6
+    assert stats["host.sessions.evals_completed"] == 6
 
 
 # -- fault accounting and observability -----------------------------------
@@ -277,13 +294,13 @@ def test_faulted_tick_keeps_partial_steps_visible():
     h_doomed = host.submit(doomed, _spin(5000))
     h_good = host.submit(good, _spin(200))
     host.run_until_idle(max_ticks=50)
-    assert host.metrics.session_faults == 1
+    assert host.metrics["host.session_faults"] == 1
     assert isinstance(h_doomed.exception(), StepBudgetExceeded)
     assert h_good.result() == 200
     # Every step any session executed is in the host's ledger.
-    assert doomed.metrics.steps_served == 150  # ran right up to the cap
-    assert host.metrics.steps_served == sum(
-        s.metrics.steps_served for s in host
+    assert doomed.metrics["session.steps_served"] == 150  # ran right up to the cap
+    assert host.metrics["host.steps_served"] == sum(
+        s.metrics["session.steps_served"] for s in host
     )
 
 
@@ -297,9 +314,9 @@ def test_faulted_tick_decrements_deficit_bank():
     host.tick()  # spends the full 100-step credit, no fault yet
     assert host._deficit["doomed"] == 0
     host.tick()  # faults after the remaining 50 lifetime steps
-    assert host.metrics.session_faults == 1
-    assert doomed.metrics.steps_served == 150
-    assert host.metrics.steps_served == 150
+    assert host.metrics["host.session_faults"] == 1
+    assert doomed.metrics["session.steps_served"] == 150
+    assert host.metrics["host.steps_served"] == 150
     # credit 100, spent 50 before the fault: 50 banked, not 100.
     assert host._deficit["doomed"] == 50
 
@@ -332,9 +349,9 @@ def test_request_histograms_observe_every_terminal_state():
     assert slow.state is HandleState.FAILED
     assert queued.state is HandleState.CANCELLED
     # done + failed + cancelled all land in the distributions.
-    assert sess.metrics.latency_us.count == 3
-    assert sess.metrics.steps_hist.count == 3
-    assert sess.metrics.steps_hist.max >= 100
+    assert sess.metrics.hists["session.latency_us"].count == 3
+    assert sess.metrics.hists["session.steps_per_request"].count == 3
+    assert sess.metrics.hists["session.steps_per_request"].max >= 100
 
 
 def test_host_histogram_rollup():
@@ -342,8 +359,8 @@ def test_host_histogram_rollup():
     sess = host.session("a", prelude=False)
     host.submit(sess, _spin(300))
     host.run_until_idle(max_ticks=50)
-    assert host.metrics.tick_us.count == host.metrics.ticks
-    assert host.metrics.tick_steps.count == host.metrics.ticks
+    assert host.metrics.hists["host.tick_us"].count == host.metrics["host.ticks"]
+    assert host.metrics.hists["host.steps_per_tick"].count == host.metrics["host.ticks"]
     hists = host.histograms()
     assert "host.tick_us" in hists
     assert "host.steps_per_tick" in hists

@@ -71,7 +71,7 @@ def test_pump_suspends_and_resumes(engine):
         pumps += 1
     assert handle.result() == 4950
     assert pumps > 3  # genuinely incremental, not one shot
-    assert handle.steps == session.metrics.steps_served
+    assert handle.steps == session.metrics["session.steps_served"]
 
 
 def test_pump_zero_budget_is_a_noop(bare_session):
@@ -120,7 +120,7 @@ def test_step_budget_enforced_exactly(engine):
     assert handle.state is HandleState.FAILED
     assert isinstance(handle.exception(), StepBudgetExceeded)
     assert handle.steps == 500  # exact, not approximate
-    assert session.metrics.deadline_misses == 1
+    assert session.metrics["session.deadline_misses"] == 1
 
 
 def test_step_budget_smaller_than_pump(bare_session):
@@ -234,7 +234,7 @@ def test_bounded_queue_saturates():
     session.submit("(+ 2 2)")
     with pytest.raises(HostSaturated):
         session.submit("(+ 3 3)")
-    assert session.metrics.saturations == 1
+    assert session.metrics["session.saturations"] == 1
     # Draining frees capacity.
     session.pump(1 << 20)
     session.submit("(+ 4 4)")
@@ -256,7 +256,7 @@ def test_stats_namespaced_only():
     ]:
         assert namespaced in stats
         assert flat not in stats
-    assert stats["session.submits"] == session.metrics.submits
+    assert stats["session.submits"] == session.metrics["session.submits"]
 
 
 def test_dict_engine_has_no_resolver_stats():

@@ -25,7 +25,6 @@ from repro.host.session import Session
 from repro.ir import resolve_program, stable_hash
 from repro.ir.codegen import (
     _CACHE_CAPACITY,
-    CodegenStats,
     cache_info,
     clear_cache,
     codegen_node,
@@ -33,6 +32,7 @@ from repro.ir.codegen import (
     emitted_source,
     is_cached,
 )
+from repro.obs import Metrics
 from repro.reader import read_all
 
 
@@ -150,14 +150,14 @@ def test_codegen_rejects_unresolved_program():
 def test_cache_hit_on_identical_form():
     clear_cache()
     sess = Session(engine="codegen", prelude=False)
-    stats = sess.codegen_stats
+    stats = sess.metrics
     sess.run("(+ 1 2)")
-    misses = stats.misses
+    misses = stats["codegen.misses"]
     assert misses >= 1
-    assert stats.hits == 0
+    assert stats["codegen.hits"] == 0
     sess.run("(+ 1 2)")
-    assert stats.misses == misses  # same digest, source verified
-    assert stats.hits == 1
+    assert stats["codegen.misses"] == misses  # same digest, source verified
+    assert stats["codegen.hits"] == 1
 
 
 def test_cache_is_shared_across_sessions():
@@ -166,8 +166,8 @@ def test_cache_is_shared_across_sessions():
     first.run("(* 6 7)")
     second = Session(engine="codegen", prelude=False)
     second.run("(* 6 7)")
-    assert second.codegen_stats.hits == 1
-    assert second.codegen_stats.misses == 0
+    assert second.stats["codegen.hits"] == 1
+    assert second.stats["codegen.misses"] == 0
 
 
 def test_is_cached_and_cache_info():
@@ -185,14 +185,14 @@ def test_is_cached_and_cache_info():
 def test_cache_lru_eviction_at_capacity():
     clear_cache()
     sess = Session(engine="codegen", prelude=False)
-    stats = CodegenStats()
+    stats = Metrics()
     first = _resolved_nodes("(+ 0 1)", sess.globals)[0]
     codegen_node(first, stats)
     digest = stable_hash(first)
     for i in range(_CACHE_CAPACITY):
         node = _resolved_nodes(f"(+ {i} 2)", sess.globals)[0]
         codegen_node(node, stats)
-    assert stats.evictions >= 1
+    assert stats["codegen.evictions"] >= 1
     assert len(_CODE_CACHE_snapshot()) <= _CACHE_CAPACITY
     assert digest not in _CODE_CACHE_snapshot()  # oldest went first
     clear_cache()
@@ -220,7 +220,7 @@ def test_source_mismatch_recompiles():
     # a second no-analysis run must hit.
     without2 = Session(engine="codegen", prelude=False, analysis=False)
     without2.run(source)
-    assert without2.codegen_stats.hits >= 1
+    assert without2.stats["codegen.hits"] >= 1
 
 
 # -- the emitted artifact ----------------------------------------------
@@ -254,15 +254,14 @@ def test_emitted_source_smoke():
 def test_emitted_stats_counters():
     sess = Session(engine="codegen", prelude=False)
     sess.run("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))")
-    stats = sess.codegen_stats
-    assert stats.nodes_emitted > 0
-    assert stats.lambdas_emitted >= 1
-    assert stats.apps_inlined >= 1
-    assert stats.tests_inlined >= 1
-    assert stats.self_inlines >= 1
-    assert stats.emit_us >= 0
-    merged = sess.stats
-    assert merged["codegen.misses"] >= 1
+    stats = sess.stats
+    assert stats["codegen.nodes"] > 0
+    assert stats["codegen.lambdas"] >= 1
+    assert stats["codegen.apps_inlined"] >= 1
+    assert stats["codegen.tests_inlined"] >= 1
+    assert stats["codegen.self_inlines"] >= 1
+    assert stats["codegen.emit_us"] >= 0
+    assert stats["codegen.misses"] >= 1
 
 
 def test_self_inline_guard_falls_through_on_rebinding():

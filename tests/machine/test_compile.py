@@ -13,9 +13,10 @@ from repro import Interpreter, Session
 from repro.datum import intern, scheme_repr
 from repro.errors import CompileError, UnboundVariableError
 from repro.expander import ExpandEnv, expand_program
-from repro.ir import CompileStats, Const, Lambda, compile_node, compile_program
+from repro.ir import Const, Lambda, compile_node, compile_program
 from repro.ir import resolve_program
 from repro.machine.scheduler import ENGINES, Machine
+from repro.obs import Metrics
 from repro.reader import read_all
 from tests.machine.test_resolver import eval_resolved_on_dict
 
@@ -86,13 +87,12 @@ def test_compile_stats_counters():
         read_all("(define (f x) (if x 0 (+ x 1))) (f 3)"), ExpandEnv()
     )
     nodes = resolve_program(nodes, machine.globals)
-    stats = CompileStats()
+    stats = Metrics()
     compile_program(nodes, stats)
-    counters = stats.as_dict()
-    assert counters["compile_nodes"] > 0
-    assert counters["compile_lambdas"] == 1
-    assert counters["compile_apps_inlined"] >= 1  # (+ x 1) is fully trivial
-    assert counters["compile_tests_inlined"] >= 1  # x is a trivial test
+    assert stats["compile.nodes"] > 0
+    assert stats["compile.lambdas"] == 1
+    assert stats["compile.apps_inlined"] >= 1  # (+ x 1) is fully trivial
+    assert stats["compile.tests_inlined"] >= 1  # x is a trivial test
 
 
 def test_interpreter_stats_include_compile_counters():

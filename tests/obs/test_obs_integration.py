@@ -130,3 +130,65 @@ def test_session_brought_recorder_not_overridden_by_host():
 def test_prelude_events_are_cleared():
     interp = Interpreter(record=True)  # prelude on
     assert len(interp.recorder) == 0
+
+
+# -- the Tracer is a view over the recorder --------------------------------
+
+
+def test_tracer_over_an_existing_recorder_leaves_it_every_event():
+    from repro.machine.trace import Tracer
+
+    interp = Interpreter(record=True)
+    rec = interp.recorder
+    before = interp.stats  # the prelude's counts; its events were cleared
+    with Tracer(interp.machine, record_switches=True) as tracer:
+        interp.eval("(spawn (lambda (c) (+ 1 (c (lambda (k) (k 10))))))")
+        interp.eval("(prompt (pcall + 1 2))")
+    assert interp.machine.recorder is rec  # borrowed, not replaced
+    assert interp.machine.trace_hook is None
+    stats = {k: v - before[k] for k, v in interp.stats.items()}
+    assert len(rec.events_of("capture")) == stats["captures"] == 1
+    assert len(rec.events_of("reinstate")) == stats["reinstatements"] == 1
+    assert len(rec.events_of("fork")) == stats["forks"] == 1
+    pops = rec.events_of("label-pop") + rec.events_of("prompt-pop")
+    assert len(pops) == stats["label_pops"]
+    assert len(rec.events_of("prompt-pop")) == 1
+    assert rec.events_of("task-switch")  # the switch hook emits into it
+    # The tracer shows exactly the recorder's control events, in order.
+    shown = [(e.kind, e.detail) for e in tracer.events]
+    control = [(e.name, e.detail) for e in rec.events if e.phase == "i"]
+    assert shown == control
+
+
+def test_tracer_without_a_recorder_attaches_a_private_one():
+    from repro.machine.trace import Tracer
+
+    interp = Interpreter()
+    with Tracer(interp.machine) as tracer:
+        assert interp.machine.recorder is tracer.recorder is not None
+        interp.eval("(pcall + 1 2)")
+    assert interp.machine.recorder is None
+    assert tracer.kinds().count("fork") == 1
+    # A paused recorder is not written to: the tracer brings its own.
+    paused = Recorder(enabled=False)
+    interp.machine.recorder = paused
+    with Tracer(interp.machine) as tracer:
+        interp.eval("(pcall + 1 2)")
+    assert interp.machine.recorder is paused and len(paused) == 0
+    assert tracer.kinds().count("fork") == 1
+
+
+def test_tracer_refuses_a_window_the_ring_evicted_from():
+    from repro.machine.trace import Tracer
+
+    interp = Interpreter(quantum=1)
+    interp.machine.recorder = Recorder(capacity=8)
+    with Tracer(interp.machine) as tracer:
+        interp.eval("(pcall + (* 1 2) (* 3 4) (* 5 6))")
+    with pytest.raises(RuntimeError, match="truncated"):
+        tracer.events
+    # A window that fits reads back whole.
+    interp.machine.recorder = Recorder(capacity=4096)
+    with Tracer(interp.machine) as tracer:
+        interp.eval("(pcall + (* 1 2) (* 3 4) (* 5 6))")
+    assert tracer.kinds().count("fork") == 1

@@ -241,13 +241,15 @@ def test_bad_version_rejected():
         restore_session(bytes(blob))
 
 
-def test_v3_blob_rejected():
+@pytest.mark.parametrize("version", [3, 4])
+def test_v3_blob_rejected(version):
     # v4 dropped fields from the header flags and the machine record;
-    # a v3 blob is refused up front rather than misread.
+    # v5 stores the session's stats as one name-keyed record.  Older
+    # blobs are refused up front rather than misread.
     blob = bytearray(Session().snapshot())
-    assert FORMAT_VERSION == 4
-    blob[4] = 3
-    with pytest.raises(SnapshotFormatError, match="version 3"):
+    assert FORMAT_VERSION == 5
+    blob[4] = version
+    with pytest.raises(SnapshotFormatError, match=f"version {version}"):
         restore_session(bytes(blob))
 
 
